@@ -4,7 +4,9 @@
 
 use fhg::core::schedulers::residue::ResidueSchedule;
 use fhg::core::{analyze_schedule_reference, AnalysisTotals, ScheduleAnalysis, Scheduler};
-use fhg::graph::{Graph, HappySet, NodeId};
+use fhg::graph::{HappySet, NodeId};
+
+use crate::workloads::Content;
 
 /// A start-shifted view of a periodic schedule: holiday `t` of this
 /// scheduler is holiday `t` of `view`, and it starts at `start`, so a
@@ -39,17 +41,11 @@ impl Scheduler for WindowView<'_> {
     }
 }
 
-/// The reference analysis of the served window `[t0, t1)` of a tenant
-/// whose schedule starts at `start`.
-pub fn reference_window(
-    graph: &Graph,
-    view: &ResidueSchedule,
-    start: u64,
-    t0: u64,
-    t1: u64,
-) -> ScheduleAnalysis {
-    let mut shifted = WindowView { view, start: start + t0 };
-    analyze_schedule_reference(graph, &mut shifted, t1.saturating_sub(t0))
+/// The reference analysis of the served window `(t0, t1)` of a tenant.
+pub fn reference_window(content: &Content, (t0, t1): (u64, u64)) -> ScheduleAnalysis {
+    let start = content.scheduler().first_holiday() + t0;
+    let mut shifted = WindowView { view: content.view(), start };
+    analyze_schedule_reference(content.graph(), &mut shifted, t1.saturating_sub(t0))
 }
 
 /// Bitwise equality of totals (floats through `to_bits`, so NaN == NaN).

@@ -557,13 +557,7 @@ impl<'a> Pipeline<'a> {
             if self.done.is_multiple_of(CHECK_STRIDE) && self.checks.take(nodes, window) {
                 let t = Instant::now();
                 if let Some(served) = answer {
-                    let reference = reference_window(
-                        content.graph(),
-                        content.view(),
-                        content.scheduler().first_holiday(),
-                        window.0,
-                        window.1,
-                    );
+                    let reference = reference_window(content, window);
                     if !totals_eq(&served, &reference.totals()) {
                         rec.fail.report(
                             "read_after_write",
@@ -685,14 +679,7 @@ impl<'a> Pipeline<'a> {
         self.slices.reads.push(ReadSlice { totals: Sketch::new(totals), full: Sketch::new(full) });
 
         for (tenant, window, served) in samples {
-            let content = world.content(tenant);
-            let reference = reference_window(
-                content.graph(),
-                content.view(),
-                content.scheduler().first_holiday(),
-                window.0,
-                window.1,
-            );
+            let reference = reference_window(world.content(tenant), window);
             let (op, same) = match &served {
                 Served::Totals(a) => ("query_totals", totals_eq(a, &reference.totals())),
                 Served::Full(a) => ("query", analysis_eq(a, &reference)),
