@@ -45,6 +45,20 @@ pub fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// The mean of the middle half of `values` (the interquartile mean): the
+/// quarter at each end is dropped, so a stall moves it no more than it
+/// moves the median, while a phase whose slices fall into two modes moves
+/// it by the share of slices in each mode rather than flipping it from
+/// one mode to the other.
+pub fn interquartile_mean(values: &[f64]) -> f64 {
+    assert!(!values.is_empty(), "interquartile mean of no samples");
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let cut = sorted.len() / 4;
+    let middle = &sorted[cut..sorted.len() - cut];
+    middle.iter().sum::<f64>() / middle.len() as f64
+}
+
 /// Nearest-rank percentile `p` (in `0..=1`) of ascending `sorted`: the
 /// smallest sample with at least `p` of the samples at or below it, so
 /// `len - ceil(p * len)` samples lie beyond it.
@@ -74,6 +88,13 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.99), 990);
         assert_eq!(sorted.len() - 990, 10);
         assert_eq!(percentile(&[7], 0.99), 7);
+    }
+
+    #[test]
+    fn interquartile_mean_drops_a_quarter_at_each_end() {
+        assert_eq!(interquartile_mean(&[100.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -50.0]), 3.5);
+        assert_eq!(interquartile_mean(&[1.0, 2.0, 3.0]), 2.0);
+        assert_eq!(interquartile_mean(&[7.0]), 7.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The four workloads and the inputs they generate from `--seed`.
+//! The three workloads and the inputs they generate from `--seed`.
 //!
 //! Every workload drives the same pipeline — ready, events, reads, batch,
 //! recover, analyze — because every run reports every end-to-end metric;
@@ -6,8 +6,13 @@
 //! was chosen for (see README.md); the other phases run on a small side
 //! population so their metrics exist and stay steady.
 //!
-//! Sizes are fixed per workload and only the random draws depend on the
-//! seed, so two seeds give inputs of the same shape and cost.
+//! The graphs are the same for every seed: a graph's colour count sets
+//! its schedulers' cycles in power-of-two steps, and with them the cost of
+//! every build, query and job, so graphs drawn per seed made the seed, not
+//! the program, a large term in a metric's spread.  `--seed` draws what
+//! the served traffic is made of: the request order and windows, the
+//! slabs, the shared-tenant assignment, the edge pools and the event
+//! stream.
 
 use fhg::core::dynamic::DynamicColorBound;
 use fhg::core::schedulers::residue::ResidueSchedule;
@@ -15,7 +20,7 @@ use fhg::core::schedulers::{
     FirstComeFirstGrab, PeriodicDegreeBound, PhasedGreedy, PrefixCodeScheduler,
 };
 use fhg::core::{AnalysisEngine, Scheduler};
-use fhg::graph::generators::{barabasi_albert, erdos_renyi, random_geometric};
+use fhg::graph::generators::{erdos_renyi, random_geometric};
 use fhg::graph::{Graph, NodeId};
 
 use crate::stats::Lcg;
@@ -24,20 +29,10 @@ use crate::trace::Tracer;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GraphSpec {
     /// `erdos_renyi(n, degree / (n - 1))`.
-    ErdosRenyi {
-        n: usize,
-        degree: f64,
-    },
+    ErdosRenyi { n: usize, degree: f64 },
     /// `random_geometric` with the radius that gives `degree` on average
     /// away from the border.
-    Geometric {
-        n: usize,
-        degree: f64,
-    },
-    BarabasiAlbert {
-        n: usize,
-        m: usize,
-    },
+    Geometric { n: usize, degree: f64 },
 }
 
 impl GraphSpec {
@@ -50,7 +45,6 @@ impl GraphSpec {
                 let radius = (degree / ((n as f64 - 1.0) * std::f64::consts::PI)).sqrt();
                 random_geometric(n, radius, seed).into_graph()
             }
-            GraphSpec::BarabasiAlbert { n, m } => barabasi_albert(n, m, seed),
         }
     }
 }
@@ -128,8 +122,6 @@ pub struct Spec {
     pub check_budget: u64,
     /// An audit step of `audit.1` slots every `audit.0` events.
     pub audit: (u64, usize),
-    /// Samples of each query kind the p50/p99 are taken over at least.
-    pub min_samples: usize,
     pub round: Round,
     /// The phase `trace.overhead` is measured on.
     pub headline: Phase,
@@ -156,7 +148,6 @@ pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
             job(graph, JobKind::DegreeBound, Horizon::Cycles(4.0)),
         ]
     };
-    let min_samples = scale(1000, 50);
     let spec = match name {
         "fleet-read" => {
             let mut groups: Vec<_> = (0..scale(768, 24))
@@ -174,48 +165,7 @@ pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
                 pool: 16,
                 check_budget: scale(40_000_000, 1_000_000) as u64,
                 audit: (64, 8),
-                min_samples,
                 round: Round { blocks: 1, read_ms: 250, slabs: 1, analyze: 4 },
-                headline: Phase::Reads,
-            }
-        }
-        "radio-large" => {
-            // Mean degrees keep every seed's greedy colouring inside one
-            // omega codeword-length band (16-31 or 32-63 colours), so the
-            // cycle — 2048 or 4096 — does not change with the seed.
-            let sizes: &[(usize, f64)] = if tiny {
-                &[(300, 22.0), (500, 30.0)]
-            } else {
-                &[(2000, 22.0), (4000, 30.0), (6000, 45.0), (8000, 60.0)]
-            };
-            let mut groups: Vec<_> =
-                sizes.iter().map(|&(n, degree)| (geo(n, degree), TenantKind::Omega)).collect();
-            // Nine large tenants, so the median of the size mix falls
-            // inside one tenant's latencies rather than between two.
-            for _ in 0..scale(5, 1) {
-                groups.push((
-                    GraphSpec::BarabasiAlbert { n: scale(10_000, 600), m: 5 },
-                    TenantKind::DegreeBound,
-                ));
-            }
-            side_dynamic(&mut groups);
-            Spec {
-                groups,
-                shared: 0,
-                jobs: side_jobs(),
-                // Full queries cost about what totals do here; one in two
-                // gives both kinds the samples a p99 needs.
-                full_every: 2,
-                width_cycles: 32,
-                width_holidays: 0,
-                slab: 64,
-                pool: 16,
-                check_budget: scale(400_000_000, 4_000_000) as u64,
-                // One slot per block: a step re-sweeps a whole cycle of the
-                // slot, which for the large tenants costs 0.1 s.
-                audit: (1024, 1),
-                min_samples,
-                round: Round { blocks: 4, read_ms: 1500, slabs: 2, analyze: 4 },
                 headline: Phase::Reads,
             }
         }
@@ -230,7 +180,6 @@ pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
             pool: 64,
             check_budget: scale(40_000_000, 1_000_000) as u64,
             audit: (64, 8),
-            min_samples,
             round: Round { blocks: 4, read_ms: 250, slabs: 1, analyze: 2 },
             headline: Phase::Events,
         },
@@ -239,16 +188,19 @@ pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
             // erdos_renyi(2000, 0.005) and random_geometric(4000, 0.05).
             let erg = er(ern, 0.005 * (ern as f64 - 1.0));
             let geog = geo(geon, std::f64::consts::PI * 0.05 * 0.05 * (geon as f64 - 1.0));
-            // Sized so that no engine takes more than about half the batch.
+            // Sized so that no engine takes more than about half the batch,
+            // and the batch about half a round: a round a second long gives
+            // the phases every round runs once (ready, recover) thirty
+            // slices in a run.
             let mut jobs = vec![
-                job(erg, JobKind::PhasedGreedy, Horizon::Holidays(4096)),
-                job(erg, JobKind::FirstGrab, Horizon::Holidays(4096)),
+                job(erg, JobKind::PhasedGreedy, Horizon::Holidays(2048)),
+                job(erg, JobKind::FirstGrab, Horizon::Holidays(2048)),
             ];
-            for k in 1..=scale(38, 2) {
-                jobs.push(job(geog, JobKind::Omega, Horizon::Cycles(k as f64 / 40.0)));
+            for k in 1..=scale(19, 2) {
+                jobs.push(job(geog, JobKind::Omega, Horizon::Cycles(k as f64 / 20.0)));
             }
             // Whole cycles keep the reference check of each job cheap.
-            for k in 1..=scale(12, 1) {
+            for k in 1..=scale(6, 1) {
                 jobs.push(job(geog, JobKind::DegreeBound, Horizon::Cycles(k as f64)));
             }
             jobs.extend([
@@ -276,8 +228,7 @@ pub fn spec(name: &str, tiny: bool) -> Option<Spec> {
                 pool: 16,
                 check_budget: scale(100_000_000, 1_000_000) as u64,
                 audit: (1024, 1),
-                min_samples,
-                round: Round { blocks: 4, read_ms: 600, slabs: 4, analyze: 1 },
+                round: Round { blocks: 4, read_ms: 300, slabs: 4, analyze: 1 },
                 headline: Phase::Analyze,
             }
         }
@@ -370,7 +321,7 @@ pub fn setup(spec: &Spec, seed: u64, tr: &mut Tracer) -> World {
     let mut rng = Lcg::new(seed, 0x5E7);
     let mut contents = Vec::with_capacity(spec.groups.len());
     for (i, &(graph_spec, kind)) in spec.groups.iter().enumerate() {
-        let graph = tr.call("graph.generate", || graph_spec.generate(graph_seed(seed, i as u64)));
+        let graph = tr.call("graph.generate", || graph_spec.generate(graph_seed(i as u64)));
         tr.begin("schedulers.new");
         let content = match kind {
             TenantKind::DegreeBound => {
@@ -410,7 +361,7 @@ pub fn setup(spec: &Spec, seed: u64, tr: &mut Tracer) -> World {
             Some(i) => i,
             None => {
                 let salt = 0x8000 + graph_specs.len() as u64;
-                let g = tr.call("graph.generate", || job.graph.generate(graph_seed(seed, salt)));
+                let g = tr.call("graph.generate", || job.graph.generate(graph_seed(salt)));
                 graph_specs.push(job.graph);
                 job_graphs.push(g);
                 job_graphs.len() - 1
@@ -424,7 +375,9 @@ pub fn setup(spec: &Spec, seed: u64, tr: &mut Tracer) -> World {
                 tr.begin("schedulers.new");
                 protos.push(match job.kind {
                     JobKind::PhasedGreedy => JobScheduler::PhasedGreedy(PhasedGreedy::new(g)),
-                    JobKind::FirstGrab => JobScheduler::FirstGrab(FirstComeFirstGrab::new(g, seed)),
+                    JobKind::FirstGrab => {
+                        JobScheduler::FirstGrab(FirstComeFirstGrab::new(g, GRAPHS))
+                    }
                     JobKind::Omega => JobScheduler::Omega(PrefixCodeScheduler::omega(g)),
                     JobKind::DegreeBound => JobScheduler::DegreeBound(PeriodicDegreeBound::new(g)),
                 });
@@ -453,8 +406,12 @@ pub fn setup(spec: &Spec, seed: u64, tr: &mut Tracer) -> World {
     World { contents, tenants, dynamic, readable, job_graphs, protos, jobs }
 }
 
-fn graph_seed(seed: u64, salt: u64) -> u64 {
-    seed.wrapping_mul(0x1_0000).wrapping_add(salt)
+/// The seed every workload's graphs are generated from (see the module
+/// documentation).
+const GRAPHS: u64 = 1;
+
+fn graph_seed(salt: u64) -> u64 {
+    GRAPHS.wrapping_mul(0x1_0000).wrapping_add(salt)
 }
 
 /// `size` node pairs for a dynamic tenant's events to toggle: half present

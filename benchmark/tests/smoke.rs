@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
 
-const WORKLOADS: [&str; 4] = ["fleet-read", "radio-large", "churn-rw", "offline-analyze"];
+const WORKLOADS: [&str; 3] = ["fleet-read", "churn-rw", "offline-analyze"];
 
 /// `(name, unit)` of every metric in one list of `BENCHMARK.json`.
 fn declared(list: &str) -> Vec<(String, String)> {
