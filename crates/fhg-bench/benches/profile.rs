@@ -1,5 +1,5 @@
 //! Criterion benchmark for the closed-form `CycleProfile` engine: profile
-//! construction (single-threaded and on the sharded parallel build),
+//! construction (one progression per node, one congruence per edge),
 //! horizon-free derivation (full, and the totals-only fast path), and the
 //! end-to-end closed-form analysis at the E11 configuration and at a
 //! 1M-holiday horizon, against the forced PR 2 sharded sweep.
@@ -8,21 +8,18 @@
 //! `erdos_renyi(10_000, 0.001)`, `PeriodicDegreeBound` (cycle 32), horizons
 //! 4096 and 2^20.  The headline numbers: the closed form must be at least 3x
 //! faster than the sweep at 4096 holidays, and the 1M-holiday analysis must
-//! land within 2x of the 4096-holiday one — the profile emits `cycle` happy
-//! sets regardless of the horizon, so `derive` is the only part that sees
-//! the horizon, and it is `O(n)`.
+//! land within 2x of the 4096-holiday one — neither the build nor `derive`
+//! depends on the horizon; both are `O(n + |E|)`.
 //!
 //! Every engine-driven row forces its engine explicitly through
-//! `analyze_schedule_with_engine`, and every `CycleProfile::build` row pins
-//! its thread pool — auto-selection (and, since PR 5, the ambient-pool
-//! parallel build) must never silently shift what a named row measures
-//! (the PR 3 review caught exactly such a shift in the analysis bench).
+//! `analyze_schedule_with_engine` and pins its thread pool, so
+//! auto-selection never silently shifts what a named row measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use fhg_core::analysis::{
-    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, DeriveScratch, GraphChecker,
+    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, GraphChecker,
 };
 use fhg_core::prelude::*;
 use fhg_graph::generators;
@@ -38,53 +35,32 @@ fn bench_cycle_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("cycle-profile-10k");
     group.sample_size(10);
 
-    group.bench_function("profile-build/1-thread", |b| {
+    group.bench_function("profile-build", |b| {
         let s = PeriodicDegreeBound::new(&graph);
         let view = s.residue_schedule().expect("perfectly periodic");
         b.iter(|| {
-            let profile = pool.install(|| {
-                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker)
-            });
+            let profile =
+                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
             assert!(profile.all_classes_independent());
             black_box(profile)
         })
     });
 
-    group.bench_function("profile-build/8-threads", |b| {
-        let s = PeriodicDegreeBound::new(&graph);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let wide_pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        b.iter(|| {
-            let profile = wide_pool.install(|| {
-                CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker)
-            });
-            assert!(profile.all_classes_independent());
-            black_box(profile)
-        })
-    });
+    let s = PeriodicDegreeBound::new(&graph);
+    let view = s.residue_schedule().expect("perfectly periodic");
+    let profile = CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker);
 
     group.bench_function("derive-1M-from-prebuilt-profile", |b| {
-        let s = PeriodicDegreeBound::new(&graph);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let profile = pool
-            .install(|| CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker));
-        let mut scratch = DeriveScratch::new();
         b.iter(|| {
-            let analysis =
-                profile.derive_with(s.name(), &graph, LONG_HORIZON, &mut scratch).unwrap();
+            let analysis = profile.derive(s.name(), &graph, LONG_HORIZON).unwrap();
             assert!(analysis.all_happy_sets_independent);
             black_box(analysis)
         })
     });
 
     group.bench_function("derive-1M-totals-only", |b| {
-        let s = PeriodicDegreeBound::new(&graph);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let profile = pool
-            .install(|| CycleProfile::build(view, s.first_holiday(), graph.node_count(), &checker));
-        let mut scratch = DeriveScratch::new();
         b.iter(|| {
-            let totals = profile.derive_totals_with(LONG_HORIZON, &mut scratch).unwrap();
+            let totals = profile.derive_totals(LONG_HORIZON).unwrap();
             assert!(totals.all_happy_sets_independent);
             black_box(totals)
         })

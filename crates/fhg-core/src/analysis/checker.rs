@@ -15,10 +15,10 @@
 //!   overrides it with the bit-sliced batch plane: the classes are
 //!   transposed into a [`properties::MembershipTable`] and each adjacency
 //!   row is loaded **once**, answering the AND-any question for the whole
-//!   batch through the `intersects_many` kernel family.  The `CycleProfile`
-//!   build and the sharded sweep hand each shard's classes over in batches,
-//!   which turns the memory-bound per-class row walk into a compute-dense
-//!   multi-bitmap kernel.
+//!   batch through the `intersects_many` kernel family.  The sharded sweep
+//!   hands each shard's classes over in batches, which turns the
+//!   memory-bound per-class row walk into a compute-dense multi-bitmap
+//!   kernel.
 //!
 //! [`GraphChecker`] picks among three adjacency layouts by node count:
 //!
@@ -38,20 +38,20 @@
 //!
 //! The holiday number is passed alongside each set so the verdict source
 //! can be audited: the verdict must not depend on it, but instrumentation
-//! wants to see it — the closed-form and sharded engines both promise
-//! exactly one probe per residue class, batched or not.
+//! wants to see it — the sharded engine promises exactly one probe per
+//! residue class, batched or not.  The closed form consults no checker: it
+//! decides independence per edge by congruence (see `CycleProfile`), and a
+//! [`GraphChecker`] only lends it the edge list
+//! ([`GraphChecker::for_each_edge`]).
 //!
-//! Checkers must be `Sync` because both sharded paths probe from worker
-//! threads: the sweep verifies each shard's residue classes in place, and
-//! the parallel `CycleProfile` build verifies each class from the one
-//! shard that owns its range — so the once-per-class promise holds at
-//! every thread count, and verification (the closed form's dominant cost
-//! on large cycles) scales with the pool.
+//! Checkers must be `Sync` because the sharded sweep probes from worker
+//! threads, verifying each shard's residue classes in place — so the
+//! once-per-class promise holds at every thread count.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
-use fhg_graph::{properties, CsrGraph, FixedBitSet, Graph, HappySet};
+use fhg_graph::{kernels, properties, CsrGraph, FixedBitSet, Graph, HappySet, NodeId};
 
 /// Default largest node count for which the analysis materialises flat
 /// dense adjacency bit rows (`n²/8` bytes — 2 MiB at the limit) to verify
@@ -103,9 +103,8 @@ fn parse_dense_limit(raw: Option<&str>) -> usize {
 ///
 /// The holiday number is passed alongside the set so instrumented checkers
 /// (e.g. the counting checker in `tests/residue_cache.rs`) can observe
-/// *which* holidays the analysis actually verifies — both the closed-form
-/// profile and the residue cache promise each residue class is probed
-/// exactly once.
+/// *which* holidays the analysis actually verifies — the residue cache
+/// promises each residue class is probed exactly once.
 pub trait HolidayChecker: Sync {
     /// Whether the happy set emitted at holiday `t` is an independent set.
     fn check(&self, t: u64, happy: &FixedBitSet) -> bool;
@@ -257,6 +256,29 @@ impl GraphChecker {
         }
     }
 
+    /// Calls `f(u, v)` once per edge of the checked graph, `u < v`,
+    /// whichever layout holds it — the edge list the closed-form profile
+    /// checks congruences over.
+    pub fn for_each_edge(&self, mut f: impl FnMut(NodeId, NodeId)) {
+        match &self.layout {
+            Layout::Flat(adj) => {
+                for u in 0..adj.node_count() {
+                    kernels::for_each_set_bit(adj.row(u).as_words(), |v| {
+                        if v > u {
+                            f(u, v);
+                        }
+                    });
+                }
+            }
+            Layout::Blocked(adj) => {
+                for u in 0..adj.node_count() {
+                    adj.neighbors(u).iter().filter(|&&v| v > u).for_each(|&v| f(u, v));
+                }
+            }
+            Layout::Csr(csr) => csr.edges().for_each(|e| f(e.u, e.v)),
+        }
+    }
+
     /// The graph's node count, whichever layout holds it.
     fn node_count(&self) -> usize {
         match &self.layout {
@@ -294,65 +316,10 @@ impl HolidayChecker for GraphChecker {
     }
 }
 
-/// A layout-free checker that probes adjacency straight off a borrowed
-/// [`Graph`]: for every member of the set, scan its (sorted) neighbour
-/// list and demand no neighbour is also a member.
-///
-/// [`GraphChecker`] amortises a precomputed adjacency layout over an
-/// entire cycle's worth of classes; the incremental patch path
-/// (`CycleProfile::patch`) verifies a handful of classes against a graph
-/// that *just mutated*, where rebuilding a layout per edge event would
-/// dwarf the repair itself and allocate.  `ScanChecker` costs
-/// `O(Σ deg(member))` per class, allocates nothing, and always reflects
-/// the graph's current edges.
-pub struct ScanChecker<'g> {
-    graph: &'g Graph,
-}
-
-impl<'g> ScanChecker<'g> {
-    /// A checker borrowing `graph`; verdicts track its live edge set.
-    pub fn new(graph: &'g Graph) -> Self {
-        ScanChecker { graph }
-    }
-}
-
-impl HolidayChecker for ScanChecker<'_> {
-    fn check(&self, _t: u64, happy: &FixedBitSet) -> bool {
-        // Fault-injection site: an `err` action makes the checker falsely
-        // report a violation, silently poisoning a patched verdict — the
-        // corruption mode the serving tier's background audit exists to
-        // catch (the audit re-derives through `GraphChecker`, so it never
-        // shares this site).
-        crate::fail_point!("checker.batch", return false);
-        let n = self.graph.node_count();
-        fhg_graph::kernels::all_set_bits(happy.as_words(), |u| {
-            u < n && self.graph.neighbors(u).iter().all(|&v| !happy.contains(v))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fhg_graph::generators::erdos_renyi;
-
-    #[test]
-    fn scan_checker_agrees_with_graph_checker() {
-        let g = erdos_renyi(130, 0.05, 9);
-        let scan = ScanChecker::new(&g);
-        let full = GraphChecker::new(&g);
-        for t in 0..24u64 {
-            let mut set = FixedBitSet::new(130);
-            for k in 0..8usize {
-                set.insert(((t as usize + 1) * (k * 17 + 1)) % 130);
-            }
-            assert_eq!(
-                scan.check(t, &set),
-                full.check(t, &set),
-                "scan and layout checkers disagree at t={t}"
-            );
-        }
-    }
 
     #[test]
     fn dense_limit_override_falls_back_instead_of_panicking() {

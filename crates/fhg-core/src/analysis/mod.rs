@@ -24,13 +24,12 @@
 //! and the horizon:
 //!
 //! * [`AnalysisEngine::ClosedForm`] ([`profile`]) — for perfectly periodic
-//!   schedulers whenever the horizon spans at least one full cycle: each
-//!   residue class `t mod cycle` is emitted, verified and profiled **once**,
-//!   and the whole horizon is derived analytically from the per-node
-//!   attendance patterns (`horizon / cycle` repetitions folded in closed
-//!   form, the ragged `horizon % cycle` tail replayed from the profile).
-//!   Cost: `O(cycle)` emissions + `O(n)` derivation — independent of the
-//!   horizon.
+//!   schedulers whenever the horizon spans at least one full cycle: every
+//!   node attends one arithmetic progression `t ≡ slot (mod m)`, so each
+//!   per-node statistic is O(1) arithmetic, and independence is one
+//!   congruence check per edge (`slot_u ≡ slot_v (mod gcd(m_u, m_v))`),
+//!   never a walk over residue classes.  Cost: `O(n + |E|)` — independent
+//!   of both the horizon and the cycle.
 //! * [`AnalysisEngine::ShardedSweep`] ([`sweep`]) — for periodic schedulers
 //!   whose horizon is shorter than one cycle (or whose cycle exceeds the
 //!   profile budget): the horizon is split into one contiguous shard per
@@ -46,37 +45,35 @@
 //! values — gap sums, streaks, period candidates and float statistics
 //! compose with pure integer arithmetic regardless of how the horizon was
 //! partitioned (locked down by `tests/analysis_parity.rs` across thread
-//! counts and ragged horizons).  Independence checking itself is behind the
-//! [`checker`] module's [`HolidayChecker`] trait so tests can observe which
-//! holidays each engine probes (`tests/residue_cache.rs`); the closed-form
-//! build and the sharded sweep hand their classes to the checker in batches
-//! of up to 64 ([`HolidayChecker::check_batch`]), so a [`GraphChecker`]
-//! verifies a whole batch per adjacency-row pass without changing the
-//! once-per-class probe contract.
+//! counts, ragged horizons and adversarial schedules).  The sweeping
+//! engines verify independence behind the [`checker`] module's
+//! [`HolidayChecker`] trait so tests can observe which holidays they probe
+//! (`tests/residue_cache.rs`); the sharded sweep hands its classes to the
+//! checker in batches of up to 64 ([`HolidayChecker::check_batch`]), so a
+//! [`GraphChecker`] verifies a whole batch per adjacency-row pass without
+//! changing the once-per-class probe contract.  The closed form consults
+//! no checker: it reads the graph's edges directly.
 //!
-//! The production accumulation plane is the struct-of-arrays column bank of
+//! The sharded sweep accumulates on the struct-of-arrays column bank of
 //! the [`sweep`] module (the Sequential engine deliberately stays on the
-//! scalar array-of-structs reference), which also powers the totals-only
-//! fast path: [`analyze_schedule_totals`] returns the whole-schedule
-//! aggregates ([`AnalysisTotals`]) without per-node assembly or float
-//! finalisation whenever the closed form applies, and always equals
-//! `analyze_schedule(..).totals()`.
+//! scalar array-of-structs reference).  [`analyze_schedule_totals`]
+//! returns the whole-schedule aggregates ([`AnalysisTotals`]) without
+//! per-node assembly or float finalisation whenever the closed form
+//! applies, and always equals `analyze_schedule(..).totals()`.
 
 mod checker;
 mod profile;
 mod sweep;
 
 pub use checker::{
-    dense_limit, GraphChecker, HolidayChecker, ScanChecker, BLOCKED_ADJACENCY_LIMIT,
-    DENSE_ADJACENCY_LIMIT,
+    dense_limit, GraphChecker, HolidayChecker, BLOCKED_ADJACENCY_LIMIT, DENSE_ADJACENCY_LIMIT,
 };
-pub use profile::{CycleProfile, DeriveScratch, PatchRefused, PatchScratch, PatchStats};
+pub use profile::{CycleProfile, PatchScratch, PatchStats};
 
 use fhg_graph::{Graph, NodeId};
 use rayon::prelude::*;
 
 use crate::scheduler::Scheduler;
-use crate::schedulers::residue::ResidueSchedule;
 
 /// Per-node measurements over the analysed horizon.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +116,7 @@ pub struct ScheduleAnalysis {
 }
 
 /// Whole-schedule aggregates without the per-node breakdown — what the
-/// totals-only fast path ([`CycleProfile::derive_totals`],
+/// totals-only fast path ([`CycleProfile::derive_window_totals`],
 /// [`analyze_schedule_totals`]) produces by skipping the `NodeAnalysis`
 /// assembly and per-node float finalisation entirely.  Always equal to the
 /// same aggregates reduced from a full [`ScheduleAnalysis`]
@@ -210,9 +207,8 @@ impl ScheduleAnalysis {
 /// is unsound for the scheduler at hand).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AnalysisEngine {
-    /// Profile each residue class once, derive the horizon in closed form
-    /// (periodic schedulers, `horizon >= cycle`,
-    /// `cycle <=` [`CycleProfile::MAX_CYCLE`]).
+    /// Derive the horizon arithmetically from per-node progressions and
+    /// per-edge congruences (periodic schedulers, `horizon >= cycle`).
     ClosedForm,
     /// Shard the horizon across worker threads, verify once per residue
     /// class (periodic schedulers).
@@ -223,27 +219,14 @@ pub enum AnalysisEngine {
 
 impl AnalysisEngine {
     /// The strategy [`analyze_schedule`] will use for `scheduler` over
-    /// `horizon`.
+    /// `horizon`: the closed form exactly when the horizon spans at least
+    /// one full cycle.
     pub fn select<S: Scheduler + ?Sized>(scheduler: &S, horizon: u64) -> Self {
         match scheduler.residue_schedule() {
-            Some(view) if Self::closed_form_applies(view, horizon) => AnalysisEngine::ClosedForm,
+            Some(view) if horizon >= view.cycle() => AnalysisEngine::ClosedForm,
             Some(_) => AnalysisEngine::ShardedSweep,
             None => AnalysisEngine::Sequential,
         }
-    }
-
-    /// Whether the closed-form engine is sound and within budget for `view`
-    /// over `horizon`: at least one full cycle to fold, a cycle the profile
-    /// may walk, and a per-cycle attendance volume (the stored offset CSR —
-    /// the quantity that actually dominates profile memory) the profile may
-    /// materialise.  Hub-and-spoke degree distributions can pack
-    /// `n · cycle / 2` attendances into a short cycle; those stay on the
-    /// `O(n)`-memory sharded sweep.
-    fn closed_form_applies(view: &ResidueSchedule, horizon: u64) -> bool {
-        let cycle = view.cycle();
-        horizon >= cycle
-            && cycle <= CycleProfile::MAX_CYCLE
-            && view.attendance_per_cycle() <= CycleProfile::MAX_EVENTS
     }
 
     /// Downgrades `self` to the nearest strategy that is sound for
@@ -273,7 +256,9 @@ pub fn analyze_schedule<S: Scheduler + ?Sized>(
 
 /// Like [`analyze_schedule`], but verifying independence through a custom
 /// [`HolidayChecker`] — the instrumentation point the residue-cache tests use
-/// to prove each residue class is checked exactly once.
+/// to prove each residue class is checked exactly once by the sweeping
+/// engines.  The closed form decides independence per edge of `graph` and
+/// never consults the checker.
 pub fn analyze_schedule_with_checker<S, C>(
     graph: &Graph,
     scheduler: &mut S,
@@ -315,11 +300,7 @@ where
         // schedulers up front with a typed `RegisterError`).
         AnalysisEngine::ClosedForm if scheduler.residue_schedule().is_some() => {
             let view = scheduler.residue_schedule().expect("checked in the match guard");
-            let profile = CycleProfile::build(view, start, n, checker);
-            // The windowed fold anchored at 0: identical to `derive` for
-            // every clamped horizon (>= cycle), and total — no horizon can
-            // panic it.
-            profile.derive_window(scheduler.name(), graph, 0, horizon)
+            CycleProfile::new(view, start, graph).derive_window(scheduler.name(), graph, 0, horizon)
         }
         AnalysisEngine::ShardedSweep if scheduler.residue_schedule().is_some() => {
             let view = scheduler.residue_schedule().expect("checked in the match guard");
@@ -368,29 +349,25 @@ where
 /// The totals-only entry point: whole-schedule aggregates of `horizon`
 /// holidays, on the cheapest sound path.  When the closed-form engine
 /// applies, the per-node assembly and float finalisation are skipped
-/// entirely ([`CycleProfile::derive_totals`]); otherwise the full analysis
-/// runs and is reduced — so the result always equals
+/// entirely ([`CycleProfile::derive_window_totals`]); otherwise the full
+/// analysis runs and is reduced — so the result always equals
 /// `analyze_schedule(..).totals()` (pinned by the parity suite).
 pub fn analyze_schedule_totals<S: Scheduler + ?Sized>(
     graph: &Graph,
     scheduler: &mut S,
     horizon: u64,
 ) -> AnalysisTotals {
-    let checker = GraphChecker::new(graph);
     match AnalysisEngine::select(scheduler, horizon) {
         // Re-checked (not unwrapped) for the same reason as the full
         // analysis dispatch: a mis-reporting scheduler degrades, never
         // crashes.
         AnalysisEngine::ClosedForm if scheduler.residue_schedule().is_some() => {
-            let n = graph.node_count();
             let start = scheduler.first_holiday();
             let view = scheduler.residue_schedule().expect("checked in the match guard");
-            let profile = CycleProfile::build(view, start, n, &checker);
-            // Total windowed fold anchored at 0 — equal to `derive_totals`
-            // for every selected horizon (>= cycle).
-            profile.derive_window_totals(0, horizon)
+            CycleProfile::new(view, start, graph).derive_window_totals(0, horizon)
         }
         engine => {
+            let checker = GraphChecker::new(graph);
             analyze_schedule_with_engine(graph, scheduler, horizon, &checker, engine).totals()
         }
     }
@@ -419,6 +396,7 @@ pub fn analyze_schedule_reference<S: Scheduler + ?Sized>(
 mod tests {
     use super::*;
     use crate::scheduler::Scheduler;
+    use crate::schedulers::residue::ResidueSchedule;
     use crate::schedulers::PeriodicDegreeBound;
     use fhg_graph::generators::erdos_renyi;
     use fhg_graph::generators::structured::{cycle, path};
@@ -600,55 +578,24 @@ mod tests {
     }
 
     #[test]
-    fn attendance_heavy_schedules_stay_on_the_sweep() {
+    fn attendance_heavy_schedules_take_the_closed_form() {
         // Hub-and-spoke shape: 64 spokes hosting every other holiday plus
-        // one slow hub stretching the cycle to MAX_CYCLE.  The cycle is
-        // within budget but the per-cycle attendance volume (64 · 2^21)
-        // exceeds MAX_EVENTS, so the closed form must not be selected — its
-        // profile memory is O(attendance), the sweep's is O(n).
-        struct ViewOnly {
-            schedule: ResidueSchedule,
-        }
-        impl Scheduler for ViewOnly {
-            fn node_count(&self) -> usize {
-                self.schedule.node_count()
-            }
-            fn fill_happy_set(&mut self, t: u64, out: &mut fhg_graph::HappySet) {
-                self.schedule.fill(t, out);
-            }
-            fn first_holiday(&self) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "view-only"
-            }
-            fn is_periodic(&self) -> bool {
-                true
-            }
-            fn period(&self, p: NodeId) -> Option<u64> {
-                Some(self.schedule.modulus(p))
-            }
-            fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
-                None
-            }
-            fn residue_schedule(&self) -> Option<&ResidueSchedule> {
-                Some(&self.schedule)
-            }
-        }
-
+        // one slow hub stretching the cycle to 2^22.  The closed form stores
+        // one progression per node, so the attendance volume (64 · 2^21 per
+        // cycle) no longer matters — only the horizon against the cycle.
         let mut slots = vec![0u64; 64];
         let mut moduli = vec![2u64; 64];
         slots.push(1);
-        moduli.push(CycleProfile::MAX_CYCLE);
-        let s = ViewOnly { schedule: ResidueSchedule::scan_only(slots, moduli) };
-        let cycle = s.schedule_cycle().unwrap();
-        assert_eq!(cycle, CycleProfile::MAX_CYCLE, "cycle itself is within budget");
-        assert!(s.residue_schedule().unwrap().attendance_per_cycle() > CycleProfile::MAX_EVENTS);
-        assert_eq!(
-            AnalysisEngine::select(&s, 2 * cycle),
-            AnalysisEngine::ShardedSweep,
-            "attendance budget must override the cycle-length check"
-        );
+        moduli.push(1 << 22);
+        let schedule = ResidueSchedule::scan_only(slots, moduli);
+        let cycle = schedule.cycle();
+        let mut s = crate::serving::tests_support::Fixed(schedule);
+        assert_eq!(AnalysisEngine::select(&s, cycle - 1), AnalysisEngine::ShardedSweep);
+        assert_eq!(AnalysisEngine::select(&s, 2 * cycle), AnalysisEngine::ClosedForm);
+        let graph = Graph::new(65);
+        let totals = analyze_schedule_totals(&graph, &mut s, 2 * cycle);
+        assert_eq!(totals.total_happiness, 64 * cycle + 2);
+        assert!(totals.all_happy_sets_independent);
     }
 
     #[test]
@@ -704,17 +651,16 @@ mod tests {
         assert_eq!(profile.cycle(), view.cycle());
         let mut total = 0u64;
         for p in 0..profile.node_count() {
-            let offs = profile.attendance_offsets(p);
+            let offs: Vec<u64> = profile.attendance_offsets(p).collect();
             assert_eq!(offs.len() as u64, profile.count_per_cycle(p));
-            assert!(offs.windows(2).all(|w| w[0] < w[1]), "offsets ascend");
-            // Every node of a ResidueSchedule is perfectly periodic: its gap
-            // multiset is {modulus} repeated.
+            // Every node of a ResidueSchedule is perfectly periodic: its
+            // offsets step by its modulus.
             let m = view.modulus(p);
-            assert!(profile.gaps(p).all(|gap| gap == m), "node {p} gaps must equal its modulus");
-            assert_eq!(profile.gaps(p).count() as u64, profile.count_per_cycle(p));
+            assert!(offs.windows(2).all(|w| w[1] - w[0] == m), "node {p} gaps must equal {m}");
             total += profile.count_per_cycle(p);
         }
-        assert_eq!(total, profile.happiness_per_cycle());
+        let totals = profile.derive_totals(profile.cycle()).unwrap();
+        assert_eq!(total, totals.total_happiness);
         // Deriving below one cycle is refused; the dispatcher falls back.
         assert!(profile.derive("x", &g, profile.cycle() - 1).is_none());
     }

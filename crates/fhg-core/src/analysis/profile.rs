@@ -1,528 +1,177 @@
-//! Closed-form cycle analytics: profile each residue class once, derive the
-//! whole horizon — with a sharded parallel build and a struct-of-arrays
-//! derivation plane.
+//! Closed-form cycle analytics: one arithmetic progression per node, one
+//! congruence per edge.
 //!
-//! A perfectly periodic schedule repeats with period `C =`
-//! [`ResidueSchedule::cycle`]: the happy set of holiday `t` depends only on
-//! `t mod C`, so every statistic of an arbitrarily long horizon is already
-//! determined by **one cycle** of happy sets.  A [`CycleProfile`] walks that
-//! single cycle and records, per node, its attendance pattern: count per
-//! cycle, first/last offsets, internal gap structure (as one
-//! [`AccumBank`](super::sweep) column bank), and the explicit
-//! attendance-offset list (the gap multiset in CSR form).  Each residue
-//! class is independence-verified exactly once during that walk, the same
-//! promise the sharded engine's residue cache makes (locked down by
-//! `tests/residue_cache.rs`).
+//! Every periodic scheduler emits through a [`ResidueSchedule`], where node
+//! `p` attends exactly the holidays `t ≡ slot_p (mod m_p)` (the paper's
+//! §4.2 prefix codes and §5 degree exponents).  A [`CycleProfile`]
+//! therefore stores no happy sets at all:
 //!
-//! # Sharded parallel build
+//! * **per node**, its progression `(first offset, modulus)` relative to
+//!   the schedule's first holiday.  Every [`NodeAnalysis`] field over any
+//!   window `[t0, t1)` is O(1) arithmetic on it: the first attendance at or
+//!   after `t0`, the count `⌊(L − 1 − first) / m⌋ + 1`, the streaks (the
+//!   leading stretch, `m − 1` between attendances, the trailing stretch),
+//!   `observed_period = m` once the count reaches two, and `mean_gap` as
+//!   the reference computes it (`gap_sum / gap_count` in `f64`);
+//! * **per violation**, the progression of holidays on which it fires.
+//!   Two adjacent nodes co-attend iff `slot_u ≡ slot_v (mod gcd(m_u, m_v))`
+//!   — the paper's prefix-freeness argument — and then exactly on one
+//!   residue class modulo `lcm(m_u, m_v)`, found by the Chinese remainder
+//!   theorem ([`crt_class`]).  A view node outside the conflict graph
+//!   taints every holiday it attends, mirroring the sweep engines.  One
+//!   pass over the edges finds them all.
 //!
-//! For large cycles (`cycle ~ horizon`, where the build itself dominates
-//! and is verification-bound) the cycle walk shards: the residue classes
-//! split into one contiguous range per worker of the persistent
-//! `compat/rayon` pool, each shard emitting, verifying and collecting
-//! `(node, offset)` events with private scratch, exactly as the PR 2 sweep
-//! shards the horizon.  The per-class sizes and events concatenate in
-//! class order — the combined event sequence is offset-major, exactly what
-//! a sequential walk would have pushed — so the counting sort builds an
-//! identical attendance CSR at any thread count, and the one-cycle column
-//! bank is then replayed **node-major from that CSR** (streaming column
-//! access instead of per-class scatter): the built profile, and everything
-//! derived from it, is **bitwise-identical at any thread count** (pinned
-//! by the build-parity test below and `tests/analysis_parity.rs`).  Each
-//! class is still verified exactly once, by the one shard that owns it.
+//! The independence verdict of a window is then "does any stored violation
+//! progression land in `[t0, t1)`" — a window that misses every conflicting
+//! class reports independent, exactly as the reference sweep of that
+//! window does.
 //!
-//! # Closed-form derivation
+//! Every `derive*` answer is bitwise-identical to
+//! [`super::analyze_schedule_reference`] run over the same window (pinned by
+//! `tests/analysis_parity.rs` and `tests/window_parity.rs`, including
+//! adversarial schedules with arbitrary moduli, violating edges and shifted
+//! starts).  A build costs `O(n + |E|)` whatever the cycle length, a derive
+//! `O(n + violations)` whatever the window, and neither allocates beyond
+//! the output.
 //!
-//! [`CycleProfile::derive`] then produces the [`ScheduleAnalysis`] of any
-//! horizon `h ≥ C` without touching the schedule again:
+//! # Incremental repair
 //!
-//! * the `h / C` full repetitions are folded **analytically** — counts scale
-//!   by the repetition count, the per-cycle internal gaps replicate, and the
-//!   wrap-around gap between consecutive cycles (`C - last + first`)
-//!   contributes `h/C - 1` boundary gaps to the sums, streaks and the
-//!   period-uniformity check — by the shared lane fold ([`fold_lane`], the
-//!   scalar rule `merge_node(empty, replicate(a))` applied while the
-//!   columns stream);
-//! * **whole-cycle horizons** (`h mod C = 0`, the common serving shape)
-//!   fuse that fold straight into finalisation: one read-only pass over
-//!   the profile columns, no intermediate bank at all;
-//! * **ragged horizons** materialise the replicated bank
-//!   ([`replicate_global_into`]) and replay the `h mod C` tail from the
-//!   stored attendance offsets (no emission, no verification — those
-//!   classes were already profiled), merged through the exact column-kernel
-//!   rule ([`AccumBank::merge_from`](super::sweep)).
-//!
-//! Because replication and tail replay compose through the same integer
-//! arithmetic as the sequential sweep, the derived analysis is
-//! **bitwise-identical** to [`super::analyze_schedule_reference`] at every
-//! horizon — the parity property `tests/analysis_parity.rs` locks down.
-//! The cost is `O(C)` emissions plus `O(n + attendance)` derivation,
-//! independent of the horizon.
-//!
-//! # Windowed derivation: the start-offset fold
-//!
-//! A serving tier doesn't always want the whole horizon from holiday one:
-//! [`CycleProfile::derive_window`] answers any window `[t0, t1)` of the
-//! schedule in closed form.  With phase `a = t0 mod C` the window is a
-//! ragged **head** (the rest of the phase cycle, replayed from the stored
-//! offsets rebased by `-a`), a run of phase-shifted **whole cycles**
-//! (replicated analytically as a pure segment by
-//! [`replicate_segment_into`] — no take-first fold, endpoints rebased
-//! behind the head) and a ragged **tail** — all merged in window order
-//! through the same exact column rule as the sharded sweep.  Unlike
-//! `derive`, the windowed entry points are **total**: zero-width and
-//! sub-cycle windows take the defined head-segment path (`derive_window(t,
-//! t)` is the empty analysis, `derive_window(0, h)` for `h < C` equals the
-//! sweep of `h` holidays), so no request shape can panic a long-lived
-//! server.  The whole-cycle verdict caveat: the window's independence flag
-//! is the *cycle's* verdict, not the window restriction (see the method
-//! docs).
-//!
-//! # The totals-only fast path and the serving-tier scratch
-//!
-//! Callers that only want whole-schedule aggregates (`mul`, fairness
-//! totals, the independence verdict) skip the per-node assembly entirely:
-//! [`CycleProfile::derive_totals`] folds the replicated bank straight to an
-//! [`AnalysisTotals`] — no `NodeAnalysis` structs, no float work per node.
-//! Both derivation paths also exist as `_with` variants taking a reusable
-//! [`DeriveScratch`], which makes repeated derivations from one cached
-//! profile **allocation-free after warm-up** (proved by
-//! `tests/zero_alloc.rs`) — the shape a batch/streaming serving tier wants:
-//! build once per schedule, derive per request.
+//! [`CycleProfile::patch`] applies a dynamic edge event in `O(deg)` per
+//! moved residue row plus the event's own edge: the moved nodes get their
+//! new progressions, and exactly the edges touching them (and the event
+//! edge) are re-checked, so a deleted conflicting edge heals the verdict
+//! as surely as an inserted one breaks it.
 
 use fhg_graph::{Graph, NodeId};
-use rayon::prelude::*;
 
-use super::checker::{ClassBatch, HolidayChecker};
-use super::sweep::{self, AccumBank, ColumnScratch, NONE};
-use super::{AnalysisTotals, ScheduleAnalysis};
-use crate::schedulers::residue::{ResidueSchedule, RowChange};
+use super::checker::GraphChecker;
+use super::{AnalysisTotals, NodeAnalysis, ScheduleAnalysis};
+use crate::schedulers::residue::{gcd, ResidueSchedule, RowChange};
 
-/// A word-wise profile of one full residue cycle: per-node attendance
-/// patterns (a struct-of-arrays column bank) plus the per-class
-/// verification verdict, sufficient to derive the analysis of any horizon
-/// of at least one cycle in closed form.
-///
-/// The profile is also **patchable**: after a dynamic edge event moves a
-/// handful of nodes to new residue rows, [`CycleProfile::patch`] repairs
-/// exactly those nodes' lanes in place instead of rebuilding the whole
-/// cycle walk (see the method docs for the repair algebra and what it
-/// re-verifies).
-#[derive(Clone)]
+/// The closed-form profile of a perfectly periodic schedule: per-node
+/// attendance progressions plus the progressions of every violation,
+/// sufficient to derive the analysis of any window arithmetically (see the
+/// module docs).
+#[derive(Clone, Debug)]
 pub struct CycleProfile {
-    /// First holiday of the profiled cycle (the scheduler's
+    /// First holiday of the schedule (the scheduler's
     /// [`first_holiday`](crate::scheduler::Scheduler::first_holiday)).
     start: u64,
-    /// The schedule's cycle length `C`.
+    /// The schedule's cycle length `C` (the lcm of the moduli, saturating).
     cycle: u64,
-    /// Number of graph nodes tracked (attendance of out-of-range nodes is
-    /// flagged as non-independent and excluded, like the sweep engines do).
+    /// Number of conflict-graph nodes tracked; view nodes at or beyond it
+    /// count toward happiness and taint the verdict, like the sweeps.
     node_count: usize,
-    /// Per-node accumulator columns over the one profiled cycle (offsets
-    /// relative to the cycle start).
-    bank: AccumBank,
-    /// Per-node `(start, len)` rows into `offsets`.  A fresh build lays
-    /// the rows out dense and node-major (a plain CSR); a patch that grows
-    /// a row retires it to the arena tail instead, leaving `garbage`
-    /// behind until compaction.
-    rows: Vec<(usize, usize)>,
-    /// Attendance-offset arena: each node's offsets within the cycle,
-    /// ascending per row (rows may be out of node order after patches).
-    offsets: Vec<u64>,
-    /// Retired (unreferenced) `offsets` entries awaiting compaction.
-    garbage: usize,
-    /// Prefix sums of the per-class happy-set sizes (`size_prefix[k]` = total
-    /// happiness of the first `k` classes), so ragged tails fold exactly.
-    size_prefix: Vec<u64>,
-    /// Whether every residue class passed its independence check.
-    all_independent: bool,
+    /// Per view node: `(first, modulus)` — the node attends holidays
+    /// `start + first + k·modulus`, `first < modulus`.
+    rows: Vec<(u64, u64)>,
+    /// Every violation progression, sorted (the canonical order
+    /// [`CycleProfile::content_eq`] compares).
+    conflicts: Vec<Conflict>,
 }
 
-/// Why [`CycleProfile::patch`] refused to repair in place — the caller
-/// (the serving tier's patch path) falls back to a full rebuild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatchRefused {
-    /// The view's cycle no longer matches the profiled cycle (the event
-    /// changed the lcm of the moduli): every class offset is rebased, so
-    /// there is nothing to patch around.
-    CycleChanged {
-        /// The profiled cycle.
-        old: u64,
-        /// The view's current cycle.
-        new: u64,
-    },
-    /// The cached verdict is already `false`.  The repair only re-verifies
-    /// classes the event touched, so it can never discover that the
-    /// offending class *healed* — only a full rebuild can clear the flag.
-    NotIndependent,
+/// One violation: holidays `t ≡ residue (mod modulus)` (absolute holiday
+/// numbers) host both endpoints of edge `{u, v}`, or host the out-of-range
+/// view node `u = v`.  The modulus is an lcm of two `u64` moduli, so it is
+/// held exactly in `u128`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Conflict {
+    u: NodeId,
+    v: NodeId,
+    residue: u128,
+    modulus: u128,
 }
 
-impl std::fmt::Display for PatchRefused {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PatchRefused::CycleChanged { old, new } => {
-                write!(f, "cycle changed from {old} to {new}; profile must be rebuilt")
-            }
-            PatchRefused::NotIndependent => {
-                write!(f, "profile verdict is already non-independent; rebuild to re-verify")
-            }
-        }
-    }
-}
+/// The marker an injected `checker.batch` fault leaves behind: a violation
+/// on every holiday that no edge owns, so no later patch clears it — only
+/// the background audit and a rebuild do.
+const POISON: Conflict = Conflict { u: NodeId::MAX, v: NodeId::MAX, residue: 0, modulus: 1 };
 
-impl std::error::Error for PatchRefused {}
-
-/// What a successful [`CycleProfile::patch`] did, for observability
-/// (bench rows, serving-tier stats).
+/// What a [`CycleProfile::patch`] did, for observability (bench rows,
+/// serving-tier stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PatchStats {
-    /// Node lanes whose attendance pattern was replaced and replayed.
+    /// Nodes whose attendance progression was replaced (one per row
+    /// change).
     pub lanes_patched: usize,
-    /// Residue classes re-verified through the checker.
+    /// Edge congruences checked: every edge touching a moved node, plus
+    /// the event's own edge when neither endpoint moved.
     pub classes_verified: usize,
 }
 
-/// Reusable buffers for [`CycleProfile::patch`]: the verification batch,
-/// the touched-class list and the compaction arena.  Allocate once next to
-/// the cached profile; after warm-up a patch performs zero heap
+/// Reusable buffer for [`CycleProfile::patch`]: the violations found by the
+/// verify step, held until the commit step applies them.  Allocate once
+/// next to the cached profile; after warm-up a patch performs zero heap
 /// allocations (proved by `tests/zero_alloc.rs`).
+#[derive(Debug, Default)]
 pub struct PatchScratch {
-    batch: ClassBatch,
-    batch_capacity: usize,
-    classes: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl Default for PatchScratch {
-    fn default() -> Self {
-        Self::new()
-    }
+    found: Vec<Conflict>,
 }
 
 impl PatchScratch {
-    /// Empty scratch; the first patch sizes it.
-    pub fn new() -> Self {
-        PatchScratch {
-            batch: ClassBatch::new(0),
-            batch_capacity: 0,
-            classes: Vec::new(),
-            arena: Vec::new(),
-        }
-    }
-}
-
-/// Reusable buffers for the closed-form derivation: the global column bank,
-/// a tail-segment bank and the mask/temporary columns.  Allocate once, hand
-/// to [`CycleProfile::derive_with`] / [`CycleProfile::derive_totals_with`]
-/// per request — after the first call (which sizes the buffers) derivation
-/// performs zero heap allocations on the totals path.
-#[derive(Debug, Default)]
-pub struct DeriveScratch {
-    bank: AccumBank,
-    tail: AccumBank,
-    cols: ColumnScratch,
-}
-
-impl DeriveScratch {
-    /// Empty scratch; the first derivation sizes it.
+    /// Empty scratch; the first patch that finds a violation sizes it.
     pub fn new() -> Self {
         Self::default()
     }
 }
 
-/// Runs `f` with this thread's shared [`DeriveScratch`] — the buffer behind
-/// the scratch-less [`CycleProfile::derive`] / [`CycleProfile::derive_totals`]
-/// conveniences, so repeated one-shot derivations (every closed-form
-/// `analyze_schedule` call) reuse warm columns instead of faulting in a
-/// megabyte of fresh allocations per call.  Same pattern as
-/// `fhg_graph::happy_set::with_thread_scratch`; `f` must not re-enter.
-fn with_derive_scratch<R>(f: impl FnOnce(&mut DeriveScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<DeriveScratch> =
-            std::cell::RefCell::new(DeriveScratch::new());
-    }
-    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-}
-
-/// One worker's contiguous range of residue classes during the parallel
-/// profile build: private emission scratch, event list, per-class sizes and
-/// the verification batch buffer.
-struct BuildShard {
-    range: std::ops::Range<u64>,
-    events: Vec<(NodeId, u64)>,
-    sizes: Vec<u64>,
-    batch: ClassBatch,
-    all_independent: bool,
-}
-
 impl CycleProfile {
-    /// Largest cycle the profile will materialise: the per-class size
-    /// prefix and the cycle walk itself are `O(cycle)`.
-    /// [`super::AnalysisEngine::select`] enforces this bound (astronomical
-    /// cycles — saturated lcms — stay on the sharded sweep).
+    /// Largest cycle the serving tier registers: its background audit
+    /// re-derives one full cycle through the sequential reference sweep,
+    /// so the cycle bounds the audit's cost.  The profile itself has no
+    /// cycle budget.
     pub const MAX_CYCLE: u64 = 1 << 22;
 
-    /// Largest total attendance (`Σ_p cycle / modulus_p`, the stored
-    /// offset-CSR entries) the profile will materialise — the quantity that
-    /// actually dominates profile memory.  A hub-and-spoke degree
-    /// distribution can pack `n · cycle / 2` attendances into a short
-    /// cycle, which must fall back to the `O(n)`-memory sharded sweep;
-    /// [`super::AnalysisEngine::select`] budgets on
-    /// [`ResidueSchedule::attendance_per_cycle`] before picking the closed
-    /// form.
-    pub const MAX_EVENTS: u64 = 1 << 24;
-
-    /// Profiles one full cycle of `view` starting at holiday `start`,
-    /// verifying each residue class exactly once through `checker`.  The
-    /// class walk shards across the ambient worker-thread pool (the
-    /// `FHG_THREADS` knob / an installed pool); the result is
-    /// bitwise-identical at any thread count (see the module docs).
-    ///
-    /// `node_count` is the conflict graph's node count: attendance of nodes
-    /// at or beyond it marks the schedule non-independent (mirroring the
-    /// sweep engines) and is excluded from the per-node patterns.
-    ///
-    /// # Panics
-    /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
-    pub fn build<C: HolidayChecker + ?Sized>(
+    /// Profiles `view` starting at holiday `start` against the conflict
+    /// graph held by `checker` (`node_count` is that graph's node count).
+    /// Same result as [`CycleProfile::new`] on the graph itself.
+    pub fn build(
         view: &ResidueSchedule,
         start: u64,
         node_count: usize,
-        checker: &C,
+        checker: &GraphChecker,
     ) -> Self {
-        let cycle = view.cycle();
-        assert!(
-            cycle <= Self::MAX_CYCLE,
-            "cycle {cycle} exceeds the profile budget ({})",
-            Self::MAX_CYCLE
-        );
-        let n = node_count;
-        let threads = rayon::current_num_threads().max(1);
-        // Exact-capacity event lists: the per-cycle attendance volume is
-        // precomputed on the view, so the class walk never regrows them.
-        let attendance = view.attendance_per_cycle().min(Self::MAX_EVENTS) as usize;
-        let mut shards: Vec<BuildShard> = sweep::split_offsets(cycle, threads)
-            .into_iter()
-            .map(|range| BuildShard {
-                sizes: Vec::with_capacity((range.end - range.start) as usize),
-                events: Vec::with_capacity(
-                    (attendance as u64 * (range.end - range.start) / cycle) as usize + n / 64 + 16,
-                ),
-                range,
-                batch: ClassBatch::new(view.node_count()),
-                all_independent: true,
-            })
-            .collect();
+        Self::from_edges(view, start, node_count, |f| checker.for_each_edge(f))
+    }
 
-        // The parallel class walk: `view.fill` is pure in `t`, so each
-        // shard emits, verifies and collects its contiguous class range
-        // with private scratch — each class is filled and verified exactly
-        // once, by the one shard that owns it.  Verification is batched:
-        // classes buffer into the shard's [`ClassBatch`] slots and flush
-        // through [`HolidayChecker::check_batch`] up to 64 at a time, so a
-        // [`super::GraphChecker`] loads each adjacency row once per batch
-        // instead of once per class.  The walk only gathers
-        // `(node, offset)` events (through the set-bit extraction kernel,
-        // one trailing_zeros word scan per class) and per-class sizes; all
-        // per-node accumulation happens afterwards, node-major, from the
-        // sorted CSR.
-        shards.par_iter_mut().for_each(|shard| {
-            for offset in shard.range.clone() {
-                let t = start + offset;
-                let BuildShard { events, all_independent, batch, sizes, .. } = shard;
-                let happy = batch.slot(t);
-                view.fill(t, happy);
-                sizes.push(happy.len() as u64);
-                happy.for_each(|p| {
-                    if p >= n {
-                        *all_independent = false;
-                        return;
-                    }
-                    events.push((p, offset));
-                });
-                if batch.commit() {
-                    let ok = batch.flush(shard.all_independent, checker);
-                    shard.all_independent &= ok;
+    /// Profiles `view` starting at holiday `start` against `graph`: one
+    /// progression per view node and one congruence check per edge,
+    /// `O(n + |E|)`.
+    pub fn new(view: &ResidueSchedule, start: u64, graph: &Graph) -> Self {
+        Self::from_edges(view, start, graph.node_count(), |f| {
+            for u in graph.nodes() {
+                for &v in graph.neighbors(u).iter().filter(|&&v| v > u) {
+                    f(u, v);
                 }
             }
-            let ok = shard.batch.flush(shard.all_independent, checker);
-            shard.all_independent &= ok;
-        });
-
-        // Concatenate in class order: the combined event sequence is
-        // offset-major (shards are contiguous ascending ranges), exactly
-        // what a sequential walk would have pushed, so the counting sort
-        // below builds an identical CSR at any thread count.
-        let mut all_independent = true;
-        let mut size_prefix = Vec::with_capacity(cycle as usize + 1);
-        size_prefix.push(0u64);
-        let mut running = 0u64;
-        let mut counts = vec![0u64; n];
-        for shard in &shards {
-            all_independent &= shard.all_independent;
-            for &size in &shard.sizes {
-                running += size;
-                size_prefix.push(running);
-            }
-            for &(p, _) in &shard.events {
-                counts[p] += 1;
-            }
-        }
-
-        // Counting-sort the (node, offset) events into per-node rows.
-        // Events arrive offset-major, so within each node the offsets stay
-        // ascending; a fresh build lays the rows dense and node-major.
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0usize);
-        for (p, &c) in counts.iter().enumerate() {
-            starts.push(starts[p] + c as usize);
-        }
-        let mut cursor = starts.clone();
-        let mut offsets = vec![0u64; starts[n]];
-        for shard in shards {
-            for (p, o) in shard.events {
-                offsets[cursor[p]] = o;
-                cursor[p] += 1;
-            }
-        }
-        let rows: Vec<(usize, usize)> =
-            (0..n).map(|p| (starts[p], starts[p + 1] - starts[p])).collect();
-
-        // The one-cycle column bank, replayed node-major from the rows: each
-        // lane's offsets are contiguous and ascending, so this is the exact
-        // record sequence of a sequential walk with streaming (not
-        // scattered) column access — and, built from the merged rows, it is
-        // trivially identical at every thread count.
-        let mut bank = AccumBank::new(n);
-        for (p, &(s, l)) in rows.iter().enumerate() {
-            for &o in &offsets[s..s + l] {
-                bank.record(p, o);
-            }
-        }
-
-        CycleProfile {
-            start,
-            cycle,
-            node_count: n,
-            bank,
-            rows,
-            offsets,
-            garbage: 0,
-            size_prefix,
-            all_independent,
-        }
+        })
     }
 
-    /// Reconstructs a profile from its deterministic inputs — view, start,
-    /// node count and the previously verified per-class verdict — without
-    /// running a checker or walking happy sets.
-    ///
-    /// Everything a [`CycleProfile::build`] computes except the verdict is a
-    /// pure function of the residue view: node `p` attends exactly the
-    /// offsets `o ≡ slot_p − start (mod m_p)` within the cycle, so the
-    /// per-class sizes, the offset CSR and the column bank can all be
-    /// replayed arithmetically in `O(cycle + attendance)`.  This is the
-    /// serving tier's recovery path: a snapshot persists only the compact
-    /// view plus the one verdict bit, and rehydration restores a profile
-    /// that is [`content_eq`](CycleProfile::content_eq) to the original —
-    /// no cold build, no checker traffic.
-    ///
-    /// The caller vouches for `all_independent` (recovery trusts the
-    /// checksummed snapshot and then re-audits a sample through
-    /// the serving tier's audit plane).
-    ///
-    /// # Panics
-    /// Panics if the cycle exceeds [`CycleProfile::MAX_CYCLE`].
-    pub fn rehydrate(
+    fn from_edges(
         view: &ResidueSchedule,
         start: u64,
         node_count: usize,
-        all_independent: bool,
+        edges: impl FnOnce(&mut dyn FnMut(NodeId, NodeId)),
     ) -> Self {
-        let cycle = view.cycle();
-        assert!(
-            cycle <= Self::MAX_CYCLE,
-            "cycle {cycle} exceeds the profile budget ({})",
-            Self::MAX_CYCLE
-        );
-        let n = node_count;
-
-        // Per-class sizes count ALL view nodes (out-of-range attendance is
-        // part of class size, exactly as `view.fill` reports it); per-node
-        // lanes exist only for graph nodes `p < n`, mirroring the build's
-        // event emission.
-        let mut class_sizes = vec![0u64; cycle as usize];
-        let mut counts = vec![0u64; n];
-        for p in 0..view.node_count() {
-            let m = view.modulus(p);
-            let first = (view.slot(p) % m + m - start % m) % m;
-            let mut o = first;
-            let mut hits = 0u64;
-            while o < cycle {
-                class_sizes[o as usize] += 1;
-                hits += 1;
-                o += m;
-            }
-            if let Some(count) = counts.get_mut(p) {
-                *count = hits;
-            }
-        }
-        let mut size_prefix = Vec::with_capacity(cycle as usize + 1);
-        size_prefix.push(0u64);
-        let mut running = 0u64;
-        for &size in &class_sizes {
-            running += size;
-            size_prefix.push(running);
-        }
-
-        // Dense node-major CSR with ascending offsets per lane — the exact
-        // layout a fresh build's counting sort produces.
-        let mut starts = Vec::with_capacity(n + 1);
-        starts.push(0usize);
-        for p in 0..n {
-            starts.push(starts[p] + counts[p] as usize);
-        }
-        let mut offsets = vec![0u64; starts[n]];
-        for (p, &row_start) in starts.iter().enumerate().take(n.min(view.node_count())) {
-            let m = view.modulus(p);
-            let first = (view.slot(p) % m + m - start % m) % m;
-            let mut idx = row_start;
-            let mut o = first;
-            while o < cycle {
-                offsets[idx] = o;
-                idx += 1;
-                o += m;
-            }
-        }
-        let rows: Vec<(usize, usize)> =
-            (0..n).map(|p| (starts[p], starts[p + 1] - starts[p])).collect();
-
-        let mut bank = AccumBank::new(n);
-        for (p, &(s, l)) in rows.iter().enumerate() {
-            for &o in &offsets[s..s + l] {
-                bank.record(p, o);
-            }
-        }
-
-        CycleProfile {
-            start,
-            cycle,
-            node_count: n,
-            bank,
-            rows,
-            offsets,
-            garbage: 0,
-            size_prefix,
-            all_independent,
-        }
+        let rows = (0..view.node_count())
+            .map(|p| {
+                let m = view.modulus(p);
+                (first_offset(start, view.slot(p), m), m)
+            })
+            .collect();
+        let mut conflicts: Vec<Conflict> =
+            (node_count..view.node_count()).map(|p| stray(view, p)).collect();
+        edges(&mut |u, v| conflicts.extend(edge_conflict(view, u, v)));
+        conflicts.sort_unstable();
+        CycleProfile { start, cycle: view.cycle(), node_count, rows, conflicts }
     }
 
-    /// The profiled cycle length.
+    /// The schedule's cycle length.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// First holiday of the profiled cycle.
+    /// First holiday of the schedule.
     pub fn start(&self) -> u64 {
         self.start
     }
@@ -532,335 +181,138 @@ impl CycleProfile {
         self.node_count
     }
 
-    /// Whether every residue class passed its independence check.
+    /// Whether no holiday of the schedule ever hosts a conflict — the
+    /// verdict of every window at least one cycle long.
     pub fn all_classes_independent(&self) -> bool {
-        self.all_independent
+        self.conflicts.is_empty()
     }
 
     /// How many holidays per cycle node `p` attends.
     pub fn count_per_cycle(&self, p: NodeId) -> u64 {
-        self.bank.count[p]
+        self.rows.get(p).map_or(0, |&(_, m)| self.cycle / m)
     }
 
-    /// The offsets (within the cycle, ascending) at which node `p` attends.
-    pub fn attendance_offsets(&self, p: NodeId) -> &[u64] {
-        let (s, l) = self.rows[p];
-        &self.offsets[s..s + l]
+    /// The offsets (within the first cycle, ascending) at which node `p`
+    /// attends.
+    pub fn attendance_offsets(&self, p: NodeId) -> impl Iterator<Item = u64> + '_ {
+        let (first, m) = self.rows.get(p).copied().unwrap_or((self.cycle, 1));
+        std::iter::successors(Some(first), move |&o| o.checked_add(m))
+            .take_while(move |&o| o < self.cycle)
     }
 
-    /// The gap multiset of node `p` over the infinite periodic schedule: the
-    /// internal gaps between consecutive attendances within a cycle, plus the
-    /// wrap-around gap into the next cycle.  Empty for nodes that never
-    /// attend.
-    pub fn gaps(&self, p: NodeId) -> impl Iterator<Item = u64> + '_ {
-        let offs = self.attendance_offsets(p);
-        let wrap = offs.last().map(|&last| self.cycle - last + offs[0]);
-        offs.windows(2).map(|w| w[1] - w[0]).chain(wrap)
-    }
-
-    /// Total happy appearances over one full cycle (out-of-range members
-    /// included, matching the sweep's accounting).
-    pub fn happiness_per_cycle(&self) -> u64 {
-        self.size_prefix[self.cycle as usize]
-    }
-
-    /// Total happy appearances over the first `classes` residue classes of
-    /// the cycle — the per-class size prefix ragged tails fold through.
-    ///
-    /// # Panics
-    /// Panics if `classes > cycle`.
-    pub fn happiness_prefix(&self, classes: u64) -> u64 {
-        self.size_prefix[classes as usize]
-    }
-
-    /// Repairs this profile in place after a dynamic edge event, instead of
-    /// rebuilding the whole cycle walk: `changes` are the residue rows the
-    /// event moved (endpoints the scheduler recolored — see
-    /// `DynamicColorBound::apply_event`), `view` is the schedule's
-    /// **already-updated** residue view and `inserted_edge` the edge the
-    /// event added, if any.  The repair has three parts, each touching only
-    /// what the event touched:
-    ///
-    /// * **attendance lanes** — each changed node's offset row is replaced
-    ///   by its new arithmetic progression (`cycle / modulus` offsets; in
-    ///   place when the length is unchanged, retired to the arena tail
-    ///   otherwise, with compaction once retired entries outweigh live
-    ///   ones) and its column-bank lane is cleared and replayed, a single
-    ///   ascending record pass;
-    /// * **per-class sizes** — one `O(cycle)` delta walk over the size
-    ///   prefix subtracts the old progressions and adds the new ones;
-    /// * **re-verification** — only the residue classes whose membership
-    ///   *gained* a node can newly violate independence: the changed
-    ///   nodes' new progressions, plus (for an insert between two nodes
-    ///   that kept their rows) the classes where both endpoints co-attend,
-    ///   found by CRT on their rows.  Those classes are refilled from
-    ///   `view` and batched through [`HolidayChecker::check_batch`]
-    ///   (64-wide, like the build); classes that merely *lost* a member
-    ///   stay independent (a subset of an independent set), and a deleted
-    ///   edge cannot invalidate any class, so everything else keeps its
-    ///   verdict.  A failed check flips the profile's verdict to
-    ///   non-independent, exactly as a rebuild would conclude.
-    ///
-    /// The phases run **prepare → validate → commit**: refusal checks and
-    /// class collection first, then the batched verification (which reads
-    /// only `view` and scratch), and only then the mutating size/row/lane
-    /// walk with the pre-computed verdict applied last.  A crash anywhere
-    /// before the commit phase leaves the profile bitwise-untouched; a
-    /// crash *inside* the commit phase can leave it poisoned, which the
-    /// serving tier handles by quarantining the tenant (see
-    /// `ProfileService`).
-    ///
-    /// The patched profile is **bitwise-identical in content** (see
-    /// [`CycleProfile::content_eq`]) to `CycleProfile::build` against the
-    /// post-event view and graph — only the arena layout may differ —
-    /// which `tests/dynamic_patch.rs` pins against the rebuild oracle at
-    /// several thread counts.
-    ///
-    /// Refuses (and leaves the profile untouched) when the event changed
-    /// the cycle itself or the cached verdict is already `false`; see
-    /// [`PatchRefused`].  Cost: `O(cycle + Σ lanes + Σ deg(checked))` —
-    /// independent of node count and total attendance.
-    ///
-    /// # Panics
-    /// Panics if `view` disagrees with the profile's node count, or if a
-    /// change's node is out of range — patches must come from the same
-    /// scheduler the profile was built from.
-    pub fn patch<C: HolidayChecker + ?Sized>(
-        &mut self,
-        view: &ResidueSchedule,
-        changes: &[RowChange],
-        inserted_edge: Option<(NodeId, NodeId)>,
-        checker: &C,
-        scratch: &mut PatchScratch,
-    ) -> Result<PatchStats, PatchRefused> {
-        let cycle = self.cycle;
-        if view.cycle() != cycle {
-            return Err(PatchRefused::CycleChanged { old: cycle, new: view.cycle() });
-        }
-        if !self.all_independent {
-            return Err(PatchRefused::NotIndependent);
-        }
-        assert_eq!(view.node_count(), self.node_count, "patch from a different schedule");
-
-        // Collect the residue classes to re-verify (as cycle offsets):
-        // every changed node's *new* progression, plus the co-attendance
-        // classes of an inserted edge (CRT over the post-event rows —
-        // relevant when neither endpoint was recolored but the new edge
-        // now lies inside existing classes).
-        scratch.classes.clear();
-        for change in changes {
-            let m = change.new_modulus;
-            debug_assert!(cycle.is_multiple_of(m), "row modulus must divide the unchanged cycle");
-            push_progression(
-                &mut scratch.classes,
-                first_offset(self.start, change.new_slot, m),
-                m,
-                cycle,
-            );
-        }
-        if let Some((u, v)) = inserted_edge {
-            if let Some((t0, l)) =
-                crt_class(view.slot(u), view.modulus(u), view.slot(v), view.modulus(v))
-            {
-                push_progression(&mut scratch.classes, first_offset(self.start, t0, l), l, cycle);
-            }
-        }
-        scratch.classes.sort_unstable();
-        scratch.classes.dedup();
-
-        // Validate before commit: batched re-verification of the touched
-        // classes, 64-wide like the build, against the (already-updated)
-        // `view` — it reads nothing the commit below mutates, so the
-        // verdict is decided while the profile is still bitwise-untouched
-        // and a crash anywhere up to here leaves nothing to roll back.
-        // `enabled` short-circuits after the first failure, exactly
-        // mirroring the build's shard loop.
-        if scratch.batch_capacity != view.node_count() {
-            scratch.batch = ClassBatch::new(view.node_count());
-            scratch.batch_capacity = view.node_count();
-        }
-        let mut ok = true;
-        for &o in &scratch.classes {
-            let t = self.start + o;
-            let happy = scratch.batch.slot(t);
-            view.fill(t, happy);
-            if scratch.batch.commit() {
-                ok &= scratch.batch.flush(ok, checker);
-            }
-        }
-        ok &= scratch.batch.flush(ok, checker);
-        crate::fail_point!("profile.patch.validate");
-
-        for change in changes {
-            let p = change.node;
-            let (old_m, new_m) = (change.old_modulus, change.new_modulus);
-            let old_f = first_offset(self.start, change.old_slot, old_m);
-            let new_f = first_offset(self.start, change.new_slot, new_m);
-
-            // Per-class size delta: walk the cycle once, subtracting the
-            // old progression and adding the new.  The running delta is
-            // signed; `wrapping_add` of the sign-extended word is exact.
-            let (mut next_old, mut next_new) = (old_f, new_f);
-            let mut delta = 0i64;
-            for k in 0..cycle {
-                if k == next_old {
-                    delta -= 1;
-                    next_old = next_old.saturating_add(old_m);
-                }
-                if k == next_new {
-                    delta += 1;
-                    next_new = next_new.saturating_add(new_m);
-                }
-                if delta != 0 {
-                    let cell = &mut self.size_prefix[(k + 1) as usize];
-                    *cell = cell.wrapping_add(delta as u64);
-                }
-            }
-
-            // Row replacement: in place when the attendance count is
-            // unchanged, otherwise retire the old row to the arena.
-            let new_len = (cycle / new_m) as usize;
-            let (s, l) = self.rows[p];
-            if new_len == l {
-                for (i, dst) in self.offsets[s..s + l].iter_mut().enumerate() {
-                    *dst = new_f + i as u64 * new_m;
-                }
-            } else {
-                self.garbage += l;
-                let ns = self.offsets.len();
-                self.offsets.extend((0..new_len as u64).map(|i| new_f + i * new_m));
-                self.rows[p] = (ns, new_len);
-            }
-
-            // Lane replay: clear and re-record, ascending — the same
-            // sequence a fresh build replays for this node.
-            self.bank.clear_lane(p);
-            let (s, l) = self.rows[p];
-            for i in 0..l as u64 {
-                self.bank.record(p, self.offsets[s + i as usize]);
-            }
-        }
-        crate::fail_point!("profile.patch.commit");
-        if self.garbage > self.offsets.len() / 2 {
-            self.compact(scratch);
-        }
-        self.all_independent = ok;
-
-        Ok(PatchStats { lanes_patched: changes.len(), classes_verified: scratch.classes.len() })
-    }
-
-    /// Rewrites the offset arena dense and node-major (the fresh-build
-    /// layout), dropping retired rows.  The old arena becomes the next
-    /// compaction's target buffer, so both sides keep their high-water
-    /// capacity and steady-state compaction allocates nothing.
-    fn compact(&mut self, scratch: &mut PatchScratch) {
-        scratch.arena.clear();
-        scratch.arena.reserve(self.offsets.len() - self.garbage);
-        for row in &mut self.rows {
-            let (s, l) = *row;
-            let ns = scratch.arena.len();
-            scratch.arena.extend_from_slice(&self.offsets[s..s + l]);
-            *row = (ns, l);
-        }
-        std::mem::swap(&mut self.offsets, &mut scratch.arena);
-        self.garbage = 0;
-    }
-
-    /// Whether two profiles describe the same schedule content: every
-    /// derived quantity (start, cycle, verdict, per-class sizes, column
-    /// bank, per-node attendance offsets) is equal — ignoring the arena
-    /// layout, which patching is free to permute.  This is the equality the
-    /// patch-parity suite pins against the rebuild oracle: `content_eq`
-    /// implies every `derive*` output is bitwise-identical.
+    /// Whether two profiles describe the same schedule content: start,
+    /// cycle, node count, every progression and every violation.  Equal
+    /// content implies every `derive*` output is bitwise-identical.
     pub fn content_eq(&self, other: &CycleProfile) -> bool {
         self.start == other.start
             && self.cycle == other.cycle
             && self.node_count == other.node_count
-            && self.all_independent == other.all_independent
-            && self.size_prefix == other.size_prefix
-            && self.bank == other.bank
-            && (0..self.node_count)
-                .all(|p| self.attendance_offsets(p) == other.attendance_offsets(p))
+            && self.rows == other.rows
+            && self.conflicts == other.conflicts
     }
 
-    /// Derives the full [`ScheduleAnalysis`] of `horizon` holidays in closed
-    /// form.  Returns `None` when `horizon < cycle` (no full repetition to
-    /// fold — callers fall back to a sweep engine); `derive(0)` is therefore
-    /// always `None` (every cycle is at least 1 long).
-    pub fn derive(&self, scheduler: &str, graph: &Graph, horizon: u64) -> Option<ScheduleAnalysis> {
-        with_derive_scratch(|scratch| self.derive_with(scheduler, graph, horizon, scratch))
-    }
-
-    /// [`CycleProfile::derive`] with caller-owned scratch, for repeated
-    /// derivations from one cached profile.
-    pub fn derive_with(
-        &self,
-        scheduler: &str,
+    /// Repairs this profile in place after a dynamic edge event: `view` is
+    /// the schedule's **already-updated** residue view, `graph` the
+    /// post-event conflict graph, `changes` the residue rows the event
+    /// moved (see `DynamicColorBound::apply_event`) and `edge` the edge the
+    /// event inserted or deleted.
+    ///
+    /// The phases run **verify → validate → commit**.  Verify checks the
+    /// congruence of every edge touching a moved node and, when neither
+    /// endpoint moved, of the event edge (if it still exists), collecting
+    /// the violations into `scratch`; it reads only `view` and `graph`.
+    /// The commit then replaces the moved nodes' progressions, drops every
+    /// stored violation of a moved node or of the event edge and inserts
+    /// the fresh ones — so a deleted conflicting edge heals the verdict.  A
+    /// crash before the commit leaves the profile bitwise-untouched; a
+    /// crash inside it can leave it half-updated, which the serving tier
+    /// handles by quarantining the tenant.
+    ///
+    /// The patched profile is [`content_eq`](CycleProfile::content_eq) to
+    /// a fresh [`CycleProfile::new`] of the post-event view and graph.
+    /// Cost: `O(Σ deg(moved) + violations)`, independent of the cycle.
+    ///
+    /// # Panics
+    /// Panics if `view` disagrees with the profile's node count — patches
+    /// must come from the scheduler the profile was built from.
+    pub fn patch(
+        &mut self,
+        view: &ResidueSchedule,
         graph: &Graph,
-        horizon: u64,
-        scratch: &mut DeriveScratch,
-    ) -> Option<ScheduleAnalysis> {
-        if horizon < self.cycle {
-            return None;
+        changes: &[RowChange],
+        edge: (NodeId, NodeId),
+        scratch: &mut PatchScratch,
+    ) -> PatchStats {
+        assert_eq!(view.node_count(), self.rows.len(), "patch from a different schedule");
+        let moved = |x: NodeId| changes.iter().any(|c| c.node == x);
+        let edge = (edge.0.min(edge.1), edge.0.max(edge.1));
+
+        // Verify: each touched edge is checked once — from the first moved
+        // endpoint in `changes` order.
+        scratch.found.clear();
+        let mut checked = 0;
+        for (i, change) in changes.iter().enumerate() {
+            let p = change.node;
+            let earlier = &changes[..i];
+            if earlier.iter().any(|c| c.node == p) {
+                continue;
+            }
+            if p >= self.node_count {
+                scratch.found.push(stray(view, p));
+                continue;
+            }
+            for &q in graph.neighbors(p) {
+                if earlier.iter().all(|c| c.node != q) {
+                    checked += 1;
+                    scratch.found.extend(edge_conflict(view, p, q));
+                }
+            }
         }
-        if horizon.is_multiple_of(self.cycle) {
-            // Whole-cycle horizons (the common serving shape): replicate
-            // and finalise in one fused pass, no bank materialisation.
-            return Some(self.finalize_fused(scheduler, graph, horizon));
+        if !moved(edge.0) && !moved(edge.1) && graph.has_edge(edge.0, edge.1) {
+            checked += 1;
+            scratch.found.extend(edge_conflict(view, edge.0, edge.1));
         }
-        let (all_independent, total_happiness) = self.window_accums(0, horizon, scratch);
-        Some(sweep::finalize_bank(
-            scheduler.to_string(),
-            horizon,
-            graph,
-            &mut scratch.bank,
-            all_independent,
-            total_happiness,
-            &mut scratch.cols,
-        ))
+        // Fault-injection site: an `err` action makes the check falsely
+        // report a violation, silently poisoning the patched verdict — the
+        // corruption the serving tier's background audit exists to catch.
+        crate::fail_point!("checker.batch", scratch.found.push(POISON));
+        crate::fail_point!("profile.patch.validate");
+
+        for change in changes {
+            let p = change.node;
+            let m = view.modulus(p);
+            self.rows[p] = (first_offset(self.start, view.slot(p), m), m);
+        }
+        self.cycle = view.cycle();
+        crate::fail_point!("profile.patch.commit");
+        self.conflicts.retain(|c| !(moved(c.u) || moved(c.v) || (c.u, c.v) == edge));
+        self.conflicts.extend_from_slice(&scratch.found);
+        self.conflicts.sort_unstable();
+        self.conflicts.dedup();
+
+        PatchStats { lanes_patched: changes.len(), classes_verified: checked }
     }
 
-    /// The totals-only fast path: whole-schedule aggregates of `horizon`
-    /// holidays, skipping the per-node assembly and float finalisation
-    /// entirely.  Equal to [`CycleProfile::derive`]`(..).totals()` by
-    /// construction, at a fraction of the cost.  Returns `None` exactly
-    /// when [`CycleProfile::derive`] would.
+    /// Derives the full [`ScheduleAnalysis`] of `horizon` holidays from the
+    /// first one.  Returns `None` when `horizon < cycle` — the closed form
+    /// applies to whole-cycle horizons; the windowed
+    /// [`CycleProfile::derive_window`] has no such limit.
+    pub fn derive(&self, scheduler: &str, graph: &Graph, horizon: u64) -> Option<ScheduleAnalysis> {
+        (horizon >= self.cycle).then(|| self.derive_window(scheduler, graph, 0, horizon))
+    }
+
+    /// The totals-only form of [`CycleProfile::derive`]: equal to
+    /// `derive(..).totals()`, without building the per-node vector.
     pub fn derive_totals(&self, horizon: u64) -> Option<AnalysisTotals> {
-        with_derive_scratch(|scratch| self.derive_totals_with(horizon, scratch))
-    }
-
-    /// [`CycleProfile::derive_totals`] with caller-owned scratch — zero
-    /// heap allocations per call after the first (the serving-tier shape;
-    /// proved by `tests/zero_alloc.rs`).
-    pub fn derive_totals_with(
-        &self,
-        horizon: u64,
-        scratch: &mut DeriveScratch,
-    ) -> Option<AnalysisTotals> {
-        if horizon < self.cycle {
-            return None;
-        }
-        if horizon.is_multiple_of(self.cycle) {
-            // Whole-cycle horizons: replicate and reduce in one fused
-            // read-only pass — no bank, no writes, no allocations at all.
-            return Some(self.totals_fused(horizon));
-        }
-        let (all_independent, total_happiness) = self.window_accums(0, horizon, scratch);
-        Some(sweep::totals_from_bank(horizon, &scratch.bank, all_independent, total_happiness))
+        (horizon >= self.cycle).then(|| self.derive_window_totals(0, horizon))
     }
 
     /// Derives the full [`ScheduleAnalysis`] of the window `[t0, t1)` —
     /// holidays `start + t0` up to (excluding) `start + t1`, offsets
-    /// reported relative to the window start — in closed form via the
-    /// start-offset fold (see the module docs).  **Total over all windows**:
-    /// zero-width (`t1 <= t0`) and sub-cycle windows take the defined
-    /// head-segment path instead of returning `None` or panicking, so this
-    /// is the serving tier's entry point.  Bitwise-identical to
-    /// [`super::analyze_schedule_reference`] run over the same window
-    /// (pinned by `tests/window_parity.rs`), except that the independence
-    /// verdict is always the profiled cycle's whole-cycle verdict — a
-    /// serving tier answers "is this schedule valid", not "did the bad
-    /// class happen to fall inside the window".
+    /// reported relative to the window start.  Total over all windows:
+    /// zero-width and inverted windows (`t1 <= t0`) are the empty analysis.
+    /// Bitwise-identical to [`super::analyze_schedule_reference`] run over
+    /// the same window, independence verdict included.
     pub fn derive_window(
         &self,
         scheduler: &str,
@@ -868,821 +320,194 @@ impl CycleProfile {
         t0: u64,
         t1: u64,
     ) -> ScheduleAnalysis {
-        with_derive_scratch(|scratch| self.derive_window_with(scheduler, graph, t0, t1, scratch))
-    }
-
-    /// [`CycleProfile::derive_window`] with caller-owned scratch, for
-    /// repeated windowed queries from one cached profile (the output
-    /// allocation is window-size-independent; the accumulation itself is
-    /// allocation-free after warm-up).
-    pub fn derive_window_with(
-        &self,
-        scheduler: &str,
-        graph: &Graph,
-        t0: u64,
-        t1: u64,
-        scratch: &mut DeriveScratch,
-    ) -> ScheduleAnalysis {
-        let horizon = t1.saturating_sub(t0);
-        if t0.is_multiple_of(self.cycle) && horizon >= self.cycle {
-            if let Some(analysis) = self.derive_with(scheduler, graph, horizon, scratch) {
-                return analysis;
-            }
-        }
-        let (all_independent, total_happiness) = self.window_accums(t0, t1, scratch);
-        sweep::finalize_bank(
-            scheduler.to_string(),
-            horizon,
-            graph,
-            &mut scratch.bank,
-            all_independent,
-            total_happiness,
-            &mut scratch.cols,
-        )
-    }
-
-    /// The totals-only windowed fast path: whole-window aggregates of
-    /// `[t0, t1)`, skipping the per-node assembly entirely.  Total over all
-    /// windows and **zero heap allocations per call** after the first (the
-    /// steady-state serving shape; proved by `tests/zero_alloc.rs`).  Equal
-    /// to [`CycleProfile::derive_window`]`(..).totals()` by construction.
-    pub fn derive_window_totals(&self, t0: u64, t1: u64) -> AnalysisTotals {
-        with_derive_scratch(|scratch| self.derive_window_totals_with(t0, t1, scratch))
-    }
-
-    /// [`CycleProfile::derive_window_totals`] with caller-owned scratch.
-    pub fn derive_window_totals_with(
-        &self,
-        t0: u64,
-        t1: u64,
-        scratch: &mut DeriveScratch,
-    ) -> AnalysisTotals {
-        let horizon = t1.saturating_sub(t0);
-        if t0.is_multiple_of(self.cycle) && horizon >= self.cycle {
-            if let Some(totals) = self.derive_totals_with(horizon, scratch) {
-                return totals;
-            }
-        }
-        let (all_independent, total_happiness) = self.window_accums(t0, t1, scratch);
-        sweep::totals_from_bank(horizon, &scratch.bank, all_independent, total_happiness)
-    }
-
-    /// The start-offset fold — the windowed (and ragged-horizon) core:
-    /// fills `scratch.bank` with the merged global accumulator columns of
-    /// the window `[t0, t1)` and returns the scalar verdicts.
-    ///
-    /// With phase `a = t0 mod cycle` and length `L = t1 - t0`, the window
-    /// decomposes into at most three contiguous pieces, each expressed as a
-    /// segment bank and folded in window order through the exact column
-    /// merge ([`AccumBank::merge_from`]):
-    ///
-    /// 1. a ragged **head** `[a, a + head_len)` of the phase cycle
-    ///    (`head_len = min(cycle - a, L)` when `a > 0`), replayed from the
-    ///    stored attendance offsets rebased to window offset `o - a`;
-    /// 2. `(L - head_len) / cycle` phase-shifted **whole cycles**, folded
-    ///    analytically by [`replicate_segment_into`] (or, when the head is
-    ///    empty, [`replicate_global_into`] straight into place);
-    /// 3. a ragged **tail** of the remaining `(L - head_len) mod cycle`
-    ///    offsets, replayed like the head.
-    ///
-    /// Each piece is bitwise the summary a sequential record pass over its
-    /// offsets would produce, and the column merge is exact at any cut, so
-    /// the merged bank — and everything finalised from it — is
-    /// bitwise-identical to a sequential sweep restricted to the window.
-    /// The whole-window happiness folds exactly through the per-class size
-    /// prefix (saturating only near the `u64` boundary, like
-    /// [`CycleProfile::derive`]).
-    fn window_accums(&self, t0: u64, t1: u64, scratch: &mut DeriveScratch) -> (bool, u64) {
-        let n = self.node_count;
-        let cycle = self.cycle;
         let len = t1.saturating_sub(t0);
-        let phase = t0 % cycle;
-        let head_len = if phase == 0 { 0 } else { (cycle - phase).min(len) };
-        let rem = len - head_len;
-        let reps = rem / cycle;
-        let tail = rem % cycle;
-
-        if head_len == 0 && reps > 0 {
-            // Cycle-aligned window start: fold the replicated cycles
-            // straight into place, exactly the classic derive prefix.
-            replicate_global_into(&mut scratch.bank, &self.bank, reps, cycle);
-        } else {
-            scratch.bank.reset(n);
-            if head_len > 0 {
-                // Ragged head: each node's attendances at cycle offsets in
-                // `[phase, phase + head_len)`, rebased to the window.  The
-                // merge into the empty global takes the take-first branch,
-                // accounting each lane's leading unhappy stretch.
-                let seg = &mut scratch.tail;
-                seg.reset(n);
-                for p in 0..n {
-                    let offs = self.attendance_offsets(p);
-                    let from = offs.partition_point(|&o| o < phase);
-                    for &o in &offs[from..] {
-                        if o >= phase + head_len {
-                            break;
-                        }
-                        seg.record(p, o - phase);
-                    }
-                }
-                scratch.bank.merge_from(seg, &mut scratch.cols);
-            }
-            if reps > 0 {
-                // Phase-shifted whole cycles behind the head, as one
-                // analytically replicated segment.
-                let seg = &mut scratch.tail;
-                replicate_segment_into(seg, &self.bank, reps, cycle, head_len);
-                scratch.bank.merge_from(seg, &mut scratch.cols);
-            }
-        }
-        if tail > 0 {
-            // Ragged tail: cycle offsets `< tail`, replayed at absolute
-            // window offsets starting behind the last whole cycle.
-            let base = head_len + reps * cycle;
-            let seg = &mut scratch.tail;
-            seg.reset(n);
-            for p in 0..n {
-                for &o in self.attendance_offsets(p) {
-                    if o >= tail {
-                        break;
-                    }
-                    seg.record(p, base + o);
-                }
-            }
-            scratch.bank.merge_from(seg, &mut scratch.cols);
-        }
-
-        // Per-node fields cannot overflow (each is bounded by the window
-        // length), but the whole-window total is `n`-fold larger; saturate
-        // rather than wrap on windows beyond ~10^16 (the sweep engines
-        // could never reach them to compare against anyway).
-        let head_happiness =
-            self.size_prefix[(phase + head_len) as usize] - self.size_prefix[phase as usize];
-        let total_happiness = reps
-            .saturating_mul(self.happiness_per_cycle())
-            .saturating_add(head_happiness)
-            .saturating_add(self.size_prefix[tail as usize]);
-        (self.all_independent, total_happiness)
-    }
-
-    /// The whole-cycle full derivation: one fused pass reading the profile
-    /// columns, folding each lane through [`fold_lane`] and assembling its
-    /// [`NodeAnalysis`](super::NodeAnalysis) directly — no global bank is
-    /// materialised (`horizon = reps · cycle`, so there is no tail to
-    /// merge).  Bitwise-identical to the bank path by construction: both
-    /// run the same lane fold and the same finalisation arithmetic.
-    fn finalize_fused(&self, scheduler: &str, graph: &Graph, horizon: u64) -> ScheduleAnalysis {
-        let n = self.node_count;
-        let reps = horizon / self.cycle;
-        let src = LaneColumns::of(&self.bank, n);
-        let per_node: Vec<super::NodeAnalysis> = (0..n)
+        let per_node: Vec<NodeAnalysis> = (0..self.node_count)
             .map(|p| {
-                let lane = fold_lane(src.read(p), reps, self.cycle);
-                let trailing = if lane.last == NONE { horizon } else { horizon - 1 - lane.last };
-                super::NodeAnalysis {
+                let lane = self.lane(p, t0, len);
+                let gaps = lane.count.saturating_sub(1);
+                NodeAnalysis {
                     node: p,
                     degree: graph.degree(p),
                     happy_count: lane.count,
-                    max_unhappiness: lane.max_streak.max(trailing),
-                    observed_period: (lane.uniform && lane.first_gap != NONE)
-                        .then_some(lane.first_gap),
-                    first_happy: (lane.first != NONE).then_some(lane.first),
-                    mean_gap: if lane.gap_count > 0 {
-                        lane.gap_sum as f64 / lane.gap_count as f64
+                    max_unhappiness: lane.max_unhappiness(len),
+                    observed_period: (gaps > 0).then_some(lane.modulus),
+                    first_happy: (lane.count > 0).then_some(lane.first),
+                    mean_gap: if gaps > 0 {
+                        (gaps * lane.modulus) as f64 / gaps as f64
                     } else {
                         f64::NAN
                     },
                 }
             })
             .collect();
-        let never_happy =
-            src.count.iter().enumerate().filter(|(_, &c)| c == 0).map(|(p, _)| p).collect();
-        let total_happiness = reps.saturating_mul(self.happiness_per_cycle());
+        let never_happy = per_node.iter().filter(|a| a.happy_count == 0).map(|a| a.node).collect();
+        let total_happiness = per_node
+            .iter()
+            .fold(self.stray_happiness(t0, len), |acc, a| acc.saturating_add(a.happy_count));
         ScheduleAnalysis {
             scheduler: scheduler.to_string(),
-            horizon,
-            mean_happy_set_size: if horizon == 0 {
-                0.0
-            } else {
-                total_happiness as f64 / horizon as f64
-            },
+            horizon: len,
+            mean_happy_set_size: mean(total_happiness, len),
             per_node,
-            all_happy_sets_independent: self.all_independent,
+            all_happy_sets_independent: self.independent_within(t0, len),
             never_happy,
             total_happiness,
         }
     }
 
-    /// The whole-cycle totals derivation: one fused **read-only** pass —
-    /// fold each lane, reduce to the aggregates, allocate nothing.
-    fn totals_fused(&self, horizon: u64) -> AnalysisTotals {
-        let n = self.node_count;
-        let reps = horizon / self.cycle;
-        let src = LaneColumns::of(&self.bank, n);
+    /// The totals-only windowed form: whole-window aggregates of
+    /// `[t0, t1)`, equal to [`CycleProfile::derive_window`]`(..).totals()`.
+    /// Total over all windows and allocation-free (the serving tier's hot
+    /// path; proved by `tests/zero_alloc.rs`).
+    pub fn derive_window_totals(&self, t0: u64, t1: u64) -> AnalysisTotals {
+        let len = t1.saturating_sub(t0);
         let mut max_unhappiness = 0u64;
         let mut all_periodic = true;
         let mut never_happy = 0u64;
-        for p in 0..n {
-            let lane = fold_lane(src.read(p), reps, self.cycle);
-            let trailing = if lane.last == NONE { horizon } else { horizon - 1 - lane.last };
-            max_unhappiness = max_unhappiness.max(lane.max_streak.max(trailing));
-            all_periodic &= lane.uniform && lane.first_gap != NONE;
+        let mut total_happiness = self.stray_happiness(t0, len);
+        for p in 0..self.node_count {
+            let lane = self.lane(p, t0, len);
+            max_unhappiness = max_unhappiness.max(lane.max_unhappiness(len));
+            all_periodic &= lane.count >= 2;
             never_happy += u64::from(lane.count == 0);
+            total_happiness = total_happiness.saturating_add(lane.count);
         }
-        let total_happiness = reps.saturating_mul(self.happiness_per_cycle());
         AnalysisTotals {
-            horizon,
+            horizon: len,
             total_happiness,
-            mean_happy_set_size: if horizon == 0 {
-                0.0
-            } else {
-                total_happiness as f64 / horizon as f64
-            },
+            mean_happy_set_size: mean(total_happiness, len),
             max_unhappiness,
             all_periodic,
             never_happy,
-            all_happy_sets_independent: self.all_independent,
-        }
-    }
-}
-
-/// Borrowed column views of one bank, re-sliced to a common length so every
-/// per-lane read below indexes without bounds checks.
-struct LaneColumns<'a> {
-    count: &'a [u64],
-    first: &'a [u64],
-    last: &'a [u64],
-    gap_sum: &'a [u64],
-    gap_count: &'a [u64],
-    first_gap: &'a [u64],
-    max_streak: &'a [u64],
-    uniform: &'a [u64],
-}
-
-impl<'a> LaneColumns<'a> {
-    fn of(bank: &'a AccumBank, n: usize) -> Self {
-        LaneColumns {
-            count: &bank.count[..n],
-            first: &bank.first[..n],
-            last: &bank.last[..n],
-            gap_sum: &bank.gap_sum[..n],
-            gap_count: &bank.gap_count[..n],
-            first_gap: &bank.first_gap[..n],
-            max_streak: &bank.max_streak[..n],
-            uniform: &bank.uniform[..n],
+            all_happy_sets_independent: self.independent_within(t0, len),
         }
     }
 
-    #[inline]
-    fn read(&self, p: usize) -> FoldedLane {
-        FoldedLane {
-            count: self.count[p],
-            first: self.first[p],
-            last: self.last[p],
-            gap_sum: self.gap_sum[p],
-            gap_count: self.gap_count[p],
-            first_gap: self.first_gap[p],
-            max_streak: self.max_streak[p],
-            uniform: self.uniform[p] != 0,
-        }
+    /// Node `p`'s attendance within the `len` holidays from window offset
+    /// `t0` (a view shorter than the graph leaves the extra nodes idle).
+    fn lane(&self, p: NodeId, t0: u64, len: u64) -> Lane {
+        let Some(&(first, modulus)) = self.rows.get(p) else {
+            return Lane { first: 0, count: 0, modulus: 1 };
+        };
+        let first = first_offset(t0, first, modulus);
+        let count = if first < len { (len - 1 - first) / modulus + 1 } else { 0 };
+        Lane { first, count, modulus }
+    }
+
+    /// Happy appearances of the view nodes outside the conflict graph
+    /// within the window — they count toward the total like in the sweeps.
+    /// Totals saturate at astronomical windows.
+    fn stray_happiness(&self, t0: u64, len: u64) -> u64 {
+        (self.node_count..self.rows.len())
+            .fold(0u64, |acc, p| acc.saturating_add(self.lane(p, t0, len).count))
+    }
+
+    /// Whether no violation progression lands on a holiday of the window.
+    fn independent_within(&self, t0: u64, len: u64) -> bool {
+        let lo = u128::from(self.start) + u128::from(t0);
+        let len = u128::from(len);
+        self.conflicts.iter().all(|c| first_offset(lo, c.residue, c.modulus) >= len)
     }
 }
 
-/// One lane's accumulator values, in scalar form — the unit the fused fold
-/// reads, transforms and writes.
-#[derive(Clone, Copy)]
-struct FoldedLane {
-    count: u64,
+/// One node's attendance inside a window: `count` holidays, the first at
+/// window offset `first`, then every `modulus`.
+struct Lane {
     first: u64,
-    last: u64,
-    gap_sum: u64,
-    gap_count: u64,
-    first_gap: u64,
-    max_streak: u64,
-    uniform: bool,
+    count: u64,
+    modulus: u64,
 }
 
-impl FoldedLane {
-    fn empty() -> Self {
-        FoldedLane {
-            count: 0,
-            first: NONE,
-            last: NONE,
-            gap_sum: 0,
-            gap_count: 0,
-            first_gap: NONE,
-            max_streak: 0,
-            uniform: true,
+impl Lane {
+    /// The longest unhappy stretch of a `len`-holiday window: the leading
+    /// stretch, `modulus − 1` between attendances, and the trailing one.
+    fn max_unhappiness(&self, len: u64) -> u64 {
+        if self.count == 0 {
+            return len;
         }
+        let last = self.first + (self.count - 1) * self.modulus;
+        let inner = if self.count > 1 { self.modulus - 1 } else { 0 };
+        self.first.max(inner).max(len - 1 - last)
     }
 }
 
-/// The closed-form **segment** replicate: `replicate(a, reps, cycle)` as
-/// straight-line scalar arithmetic over one lane ([`replicate`] stays the
-/// executable specification the property tests compare against) — internal
-/// gaps repeat `reps` times and the `reps - 1` cycle boundaries each
-/// contribute the wrap-around gap `cycle - last + first`.  The result is
-/// exactly the segment summary a sequential record pass over all
-/// `reps · count` attendance offsets would produce, so it composes through
-/// [`AccumBank::merge_from`] at any position of a longer horizon — the
-/// building block of the windowed derivation.
-#[inline]
-fn replicate_lane(a: FoldedLane, reps: u64, cycle: u64) -> FoldedLane {
-    if a.count == 0 {
-        return FoldedLane::empty();
-    }
-    let wrap = cycle - a.last + a.first;
-    FoldedLane {
-        count: reps * a.count,
-        first: a.first,
-        last: (reps - 1) * cycle + a.last,
-        gap_sum: reps * a.gap_sum + (reps - 1) * wrap,
-        gap_count: reps * a.gap_count + (reps - 1),
-        first_gap: if a.gap_count > 0 {
-            a.first_gap
-        } else if reps > 1 {
-            wrap
-        } else {
-            NONE
-        },
-        max_streak: if reps > 1 { a.max_streak.max(wrap - 1) } else { a.max_streak },
-        uniform: a.uniform && (reps == 1 || a.gap_count == 0 || a.first_gap == wrap),
+fn mean(total: u64, len: u64) -> f64 {
+    if len == 0 {
+        0.0
+    } else {
+        total as f64 / len as f64
     }
 }
 
-/// The closed-form **global** lane fold: `merge_node(empty, replicate(a))` —
-/// [`replicate_lane`] plus the empty-global merge's take-first rule (the
-/// leading unhappy stretch before the first attendance folds into the
-/// streak).  Shared by the bank-materialising [`replicate_global_into`] and
-/// the fused whole-cycle derivations, so the two paths cannot drift.
-#[inline]
-fn fold_lane(a: FoldedLane, reps: u64, cycle: u64) -> FoldedLane {
-    let mut lane = replicate_lane(a, reps, cycle);
-    if lane.count > 0 {
-        lane.max_streak = lane.max_streak.max(lane.first);
-    }
-    lane
-}
-
-/// Writes one scalar lane back to a bank's columns (the `uniform` bool
-/// re-encoded as the word mask).
-#[inline]
-fn store_lane(dst: &mut AccumBank, p: usize, lane: FoldedLane) {
-    dst.count[p] = lane.count;
-    dst.first[p] = lane.first;
-    dst.last[p] = lane.last;
-    dst.gap_sum[p] = lane.gap_sum;
-    dst.gap_count[p] = lane.gap_count;
-    dst.first_gap[p] = lane.first_gap;
-    dst.max_streak[p] = lane.max_streak;
-    dst.uniform[p] = if lane.uniform { sweep::UNIFORM } else { 0 };
-}
-
-/// Analytically replicates the one-cycle bank `src` over `reps ≥ 1`
-/// consecutive cycles and rebases the result `base` offsets later — a pure
-/// **segment** bank (no take-first fold), positioned at `[base,
-/// base + reps · cycle)` of a longer horizon.  Shifting a segment summary
-/// moves only its endpoints (`first`/`last`); every gap field is a
-/// difference of offsets and is translation-invariant, so the stored lane
-/// is exactly what recording `base + o` for every replicated offset `o`
-/// would produce.  The windowed derivation merges this behind the ragged
-/// head segment through the exact column rule.
-fn replicate_segment_into(dst: &mut AccumBank, src: &AccumBank, reps: u64, cycle: u64, base: u64) {
-    debug_assert!(reps >= 1);
-    let n = src.len();
-    dst.resize_lanes(n);
-    let cols = LaneColumns::of(src, n);
-    for p in 0..n {
-        let mut lane = replicate_lane(cols.read(p), reps, cycle);
-        if lane.count > 0 {
-            lane.first += base;
-            lane.last += base;
-        }
-        store_lane(dst, p, lane);
+/// The least `o ≥ 0` with `a + o ≡ r (mod m)`, for `r < m` — the offset,
+/// from holiday `a`, of the first holiday of the residue class `r mod m`.
+/// Never overflows: no intermediate exceeds `m`.
+fn first_offset<T>(a: T, r: T, m: T) -> T
+where
+    T: Copy + PartialOrd + std::ops::Rem<Output = T> + std::ops::Sub<Output = T>,
+    T: std::ops::Add<Output = T>,
+{
+    let s = a % m;
+    if r >= s {
+        r - s
+    } else {
+        r + (m - s)
     }
 }
 
-/// Analytically replicates the one-cycle bank `src` over `reps ≥ 1`
-/// consecutive cycles of length `cycle` and folds the result into an empty
-/// global — out of place, into `dst` — in **one fused streaming pass** over
-/// the columns: the scalar rule `merge_node(empty, replicate(a))`
-/// ([`replicate`] remains the executable specification the property tests
-/// compare against), applied lane by lane while the eight source and eight
-/// destination columns stream sequentially.  Internal gaps repeat `reps`
-/// times, the `reps - 1` cycle boundaries each contribute the wrap-around
-/// gap `cycle - last + first`, and the leading unhappy stretch before each
-/// node's first attendance is folded into the streak (the empty-global
-/// merge's take-first rule).
-///
-/// A composition of the generic column kernels computes the same fold in
-/// ~20 separate passes (mask, blend, scale, restore); measured on the e14
-/// configuration that moves ~3.5x the memory of this single fused pass, so
-/// — exactly like the fused gather of PR 4 replaced per-row OR passes —
-/// the replicate fold gets its own fused loop, while the masked column
-/// kernels keep powering the segment merge (where the algebra genuinely
-/// needs per-lane conditionals across two banks).
-fn replicate_global_into(dst: &mut AccumBank, src: &AccumBank, reps: u64, cycle: u64) {
-    debug_assert!(reps >= 1);
-    let n = src.len();
-    dst.resize_lanes(n);
-    let cols = LaneColumns::of(src, n);
-    let (d_count, d_first, d_last) = (&mut dst.count[..n], &mut dst.first[..n], &mut dst.last[..n]);
-    let (d_gsum, d_gcnt) = (&mut dst.gap_sum[..n], &mut dst.gap_count[..n]);
-    let (d_fgap, d_streak, d_uni) =
-        (&mut dst.first_gap[..n], &mut dst.max_streak[..n], &mut dst.uniform[..n]);
-    for p in 0..n {
-        let lane = fold_lane(cols.read(p), reps, cycle);
-        d_count[p] = lane.count;
-        d_first[p] = lane.first;
-        d_last[p] = lane.last;
-        d_gsum[p] = lane.gap_sum;
-        d_gcnt[p] = lane.gap_count;
-        d_fgap[p] = lane.first_gap;
-        d_streak[p] = lane.max_streak;
-        d_uni[p] = if lane.uniform { sweep::UNIFORM } else { 0 };
-    }
+/// The violation a view node outside the conflict graph causes: every
+/// holiday it attends.
+fn stray(view: &ResidueSchedule, p: NodeId) -> Conflict {
+    Conflict { u: p, v: p, residue: u128::from(view.slot(p)), modulus: u128::from(view.modulus(p)) }
 }
 
-/// The first cycle offset at which a residue row `t ≡ slot (mod m)` fires,
-/// for a cycle anchored at holiday `start`: the least `o` with
-/// `start + o ≡ slot (mod m)`.  `slot < m` and `m ≤ cycle ≤ MAX_CYCLE`, so
-/// the arithmetic stays far from overflow.
-fn first_offset(start: u64, slot: u64, m: u64) -> u64 {
-    (slot + m - start % m) % m
-}
-
-/// Appends the arithmetic progression `first, first + step, …` below
-/// `cycle` to `out` — the cycle offsets of one residue row.
-fn push_progression(out: &mut Vec<u64>, first: u64, step: u64, cycle: u64) {
-    let mut o = first;
-    while o < cycle {
-        out.push(o);
-        o += step;
+/// The violation edge `{u, v}` causes, if its endpoints ever co-attend.  A
+/// node beyond the view never attends.
+fn edge_conflict(view: &ResidueSchedule, u: NodeId, v: NodeId) -> Option<Conflict> {
+    let (u, v) = (u.min(v), u.max(v));
+    if v >= view.node_count() {
+        return None;
     }
+    let (residue, modulus) =
+        crt_class(view.slot(u), view.modulus(u), view.slot(v), view.modulus(v))?;
+    Some(Conflict { u, v, residue, modulus })
 }
 
 /// The holidays where two residue rows co-fire, by the Chinese remainder
-/// theorem: solves `t ≡ s1 (mod m1)`, `t ≡ s2 (mod m2)`, returning the
-/// progression `(t0, lcm(m1, m2))` of common holidays, or `None` when the
-/// congruences are incompatible (`s1 ≢ s2 (mod gcd)`) — the rows never
-/// co-fire.  Moduli are cycle divisors (≤ 2^22), so the intermediate
-/// products fit comfortably in `i128`.
-fn crt_class(s1: u64, m1: u64, s2: u64, m2: u64) -> Option<(u64, u64)> {
-    fn egcd(a: i128, b: i128) -> (i128, i128) {
-        // Returns (g, x) with a·x ≡ g (mod b).
-        let (mut r0, mut r1) = (a, b);
-        let (mut x0, mut x1) = (1i128, 0i128);
-        while r1 != 0 {
-            let q = r0 / r1;
-            (r0, r1) = (r1, r0 - q * r1);
-            (x0, x1) = (x1, x0 - q * x1);
-        }
-        (r0, x0)
-    }
-    let (g, x) = egcd(m1 as i128, m2 as i128);
-    let diff = s2 as i128 - s1 as i128;
-    if diff % g != 0 {
+/// theorem: solves `t ≡ s1 (mod m1)`, `t ≡ s2 (mod m2)` (`s1 < m1`,
+/// `s2 < m2`), returning the progression `(t0, lcm(m1, m2))` of common
+/// holidays with `t0 < lcm`, or `None` when the congruences are
+/// incompatible (`s1 ≢ s2 (mod gcd)`) — the rows never co-fire.  Exact for
+/// all `u64` moduli: the lcm and every product are held in `u128`.
+fn crt_class(s1: u64, m1: u64, s2: u64, m2: u64) -> Option<(u128, u128)> {
+    let g = gcd(m1, m2);
+    if s1 % g != s2 % g {
         return None;
     }
-    let lcm = (m1 as i128 / g) * m2 as i128;
-    let period2 = m2 as i128 / g;
-    // t = s1 + m1·k with (m1/g)·k ≡ diff/g (mod m2/g); x inverts m1/g there.
-    let k = (diff / g % period2) * (x % period2) % period2;
-    let t0 = (s1 as i128 + m1 as i128 * k).rem_euclid(lcm);
-    Some((t0 as u64, lcm as u64))
-}
-
-/// Analytically replicates a one-cycle accumulator over `reps` consecutive
-/// cycles of length `cycle` — the scalar specification of
-/// [`replicate_global_into`], producing exactly the segment accumulator a
-/// sequential [`sweep::NodeAccum::record`] pass over all `reps · count`
-/// attendance offsets would: internal gaps repeat `reps` times, and the
-/// `reps - 1` cycle boundaries each contribute the wrap-around gap
-/// `cycle - last + first`.
-#[cfg(test)]
-fn replicate(a: &sweep::NodeAccum, reps: u64, cycle: u64) -> sweep::NodeAccum {
-    if a.happy == 0 || reps == 0 {
-        return sweep::NodeAccum::empty();
+    // Extended Euclid: x with m1·x ≡ g (mod m2), so x inverts m1/g modulo
+    // p = m2/g.  Every Bézout coefficient is bounded by p, so nothing
+    // overflows i128.
+    let (mut r0, mut r1) = (i128::from(m1), i128::from(m2));
+    let (mut x0, mut x1) = (1i128, 0i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (x0, x1) = (x1, x0 - q * x1);
     }
-    let wrap = cycle - a.last + a.first;
-    sweep::NodeAccum {
-        first: a.first,
-        last: (reps - 1) * cycle + a.last,
-        happy: reps * a.happy,
-        gap_sum: reps * a.gap_sum + (reps - 1) * wrap,
-        gap_count: reps * a.gap_count + (reps - 1),
-        first_gap: if a.gap_count > 0 {
-            a.first_gap
-        } else if reps > 1 {
-            wrap
-        } else {
-            NONE
-        },
-        max_streak: if reps > 1 { a.max_streak.max(wrap - 1) } else { a.max_streak },
-        uniform: a.uniform && (reps == 1 || a.gap_count == 0 || a.first_gap == wrap),
-    }
+    let p = i128::from(m2 / g);
+    // t = s1 + m1·k with (m1/g)·k ≡ (s2 − s1)/g (mod p).  Both factors are
+    // reduced into [0, p) with p < 2^64, so the casts are exact and their
+    // product fits u128.
+    let d = ((i128::from(s2) - i128::from(s1)) / i128::from(g)).rem_euclid(p) as u128;
+    let k = d * x0.rem_euclid(p) as u128 % p as u128;
+    // k < p, so s1 + m1·k < m1·p = lcm: already canonical.
+    Some((u128::from(s1) + u128::from(m1) * k, u128::from(m1) * p as u128))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sweep::NodeAccum;
-
-    /// Reference: record every attendance offset of `reps` cycles one by one.
-    fn replicate_by_record(offsets: &[u64], reps: u64, cycle: u64) -> NodeAccum {
-        let mut a = NodeAccum::empty();
-        for rep in 0..reps {
-            for &o in offsets {
-                a.record(rep * cycle + o);
-            }
-        }
-        a
-    }
-
-    const CASES: &[(&[u64], u64)] = &[
-        (&[0], 4),
-        (&[3], 8),
-        (&[0, 2, 4, 6], 8),
-        (&[1, 4], 6),
-        (&[0, 1, 2, 3, 4, 5, 6, 7], 8),
-        (&[5, 6], 16),
-        (&[], 4),
-    ];
-
-    #[test]
-    fn replicate_is_bitwise_identical_to_recording_every_offset() {
-        for &(offsets, cycle) in CASES {
-            for reps in [1u64, 2, 3, 7] {
-                let mut one = NodeAccum::empty();
-                offsets.iter().for_each(|&o| one.record(o));
-                assert_eq!(
-                    replicate(&one, reps, cycle),
-                    replicate_by_record(offsets, reps, cycle),
-                    "offsets {offsets:?}, cycle {cycle}, reps {reps}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn replicate_global_into_matches_the_scalar_rule_per_lane() {
-        // All case lanes side by side in one bank, so the masked passes
-        // must keep every lane independent (empty lanes included).  The
-        // scalar specification is `merge_node(empty, replicate(a))`: the
-        // replicated segment folded into an empty global, which also
-        // accounts the leading unhappy stretch.
-        for reps in [1u64, 2, 3, 7] {
-            let cycle = 16u64; // one shared cycle so lanes can coexist
-            let mut bank = AccumBank::new(CASES.len());
-            let mut expected = Vec::new();
-            for (p, &(offsets, _)) in CASES.iter().enumerate() {
-                let mut one = NodeAccum::empty();
-                for &o in offsets {
-                    one.record(o);
-                    bank.record(p, o);
-                }
-                let mut g = NodeAccum::empty();
-                sweep::merge_node(&mut g, &replicate(&one, reps, cycle));
-                expected.push(g);
-            }
-            let mut dst = AccumBank::default();
-            replicate_global_into(&mut dst, &bank, reps, cycle);
-            for (p, e) in expected.iter().enumerate() {
-                assert_eq!(&dst.node(p), e, "reps {reps}, lane {p}");
-            }
-        }
-    }
-
-    #[test]
-    fn replicate_detects_uniformity_through_the_wrap_gap() {
-        // Evenly spaced with a matching wrap: perfectly periodic.
-        let mut even = NodeAccum::empty();
-        [1u64, 3, 5, 7].iter().for_each(|&o| even.record(o));
-        let r = replicate(&even, 4, 8);
-        assert!(r.uniform);
-        assert_eq!(r.first_gap, 2);
-
-        // Same spacing but a cycle that breaks the wrap gap.
-        let r = replicate(&even, 4, 9);
-        assert!(!r.uniform, "wrap gap 3 breaks the period-2 candidate");
-    }
-
-    #[test]
-    fn single_attendance_per_cycle_is_periodic_with_the_cycle() {
-        let mut one = NodeAccum::empty();
-        one.record(5);
-        let r = replicate(&one, 6, 16);
-        assert!(r.uniform);
-        assert_eq!(r.first_gap, 16);
-        assert_eq!(r.gap_count, 5);
-        assert_eq!(r.max_streak, 15);
-    }
-
-    #[test]
-    fn rehydrate_is_content_equal_to_a_checker_build() {
-        use crate::schedulers::PeriodicDegreeBound;
-        use crate::Scheduler;
-        use fhg_graph::generators::erdos_renyi;
-
-        for (n, p, seed) in [(18, 0.2, 1u64), (40, 0.1, 2), (7, 0.5, 3)] {
-            let g = erdos_renyi(n, p, seed);
-            let s = PeriodicDegreeBound::new(&g);
-            let view = s.residue_schedule().expect("perfectly periodic");
-            let checker = super::super::GraphChecker::new(&g);
-            let built = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
-            let rehydrated = CycleProfile::rehydrate(
-                view,
-                s.first_holiday(),
-                g.node_count(),
-                built.all_classes_independent(),
-            );
-            assert!(
-                rehydrated.content_eq(&built),
-                "rehydrate diverged from build (n={n}, seed={seed})"
-            );
-            // And the derived analysis is bitwise identical.
-            let h = built.cycle() * 3 + 1;
-            assert_eq!(built.derive_totals(h), rehydrated.derive_totals(h));
-        }
-    }
-
-    #[test]
-    fn rehydrate_handles_out_of_range_view_nodes_and_nonzero_start() {
-        use crate::schedulers::residue::ResidueSchedule;
-        use fhg_graph::generators::erdos_renyi;
-
-        // A view with more nodes than the graph: the extra node's attendance
-        // still counts toward class sizes but gets no lane, and the verdict
-        // is pinned false — exactly what a checker build concludes.
-        let g = erdos_renyi(5, 0.4, 9);
-        let view = ResidueSchedule::new(vec![0, 1, 0, 3, 2, 1], vec![2, 4, 4, 4, 4, 2]);
-        for start in [0u64, 1, 5, 7] {
-            let checker = super::super::GraphChecker::new(&g);
-            let built = CycleProfile::build(&view, start, g.node_count(), &checker);
-            assert!(!built.all_classes_independent(), "out-of-range node must taint");
-            let rehydrated = CycleProfile::rehydrate(&view, start, g.node_count(), false);
-            assert!(rehydrated.content_eq(&built), "start {start}");
-        }
-    }
-
-    #[test]
-    fn derive_refuses_sub_cycle_horizons_on_both_paths() {
-        use crate::schedulers::PeriodicDegreeBound;
-        use crate::Scheduler;
-        use fhg_graph::generators::erdos_renyi;
-
-        let g = erdos_renyi(24, 0.15, 3);
-        let s = PeriodicDegreeBound::new(&g);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let checker = super::super::GraphChecker::new(&g);
-        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
-        let cycle = profile.cycle();
-        assert!(cycle > 1);
-        // The fast path must pin the same edge cases as the full derive.
-        assert!(profile.derive("x", &g, 0).is_none(), "derive(0)");
-        assert!(profile.derive_totals(0).is_none(), "derive_totals(0)");
-        assert!(profile.derive("x", &g, cycle - 1).is_none(), "derive(cycle - 1)");
-        assert!(profile.derive_totals(cycle - 1).is_none(), "derive_totals(cycle - 1)");
-        assert!(profile.derive("x", &g, cycle).is_some(), "derive(cycle)");
-        assert!(profile.derive_totals(cycle).is_some(), "derive_totals(cycle)");
-    }
-
-    #[test]
-    fn replicate_segment_into_matches_recording_every_rebased_offset() {
-        // The rebased replicate must equal recording `base + o` for every
-        // replicated offset — per lane, empty lanes included.
-        for reps in [1u64, 2, 3, 7] {
-            for base in [0u64, 1, 5, 64] {
-                let cycle = 16u64;
-                let mut bank = AccumBank::new(CASES.len());
-                let mut expected = Vec::new();
-                for (p, &(offsets, _)) in CASES.iter().enumerate() {
-                    offsets.iter().for_each(|&o| bank.record(p, o));
-                    let mut seq = NodeAccum::empty();
-                    for rep in 0..reps {
-                        for &o in offsets {
-                            seq.record(base + rep * cycle + o);
-                        }
-                    }
-                    expected.push(seq);
-                }
-                let mut dst = AccumBank::default();
-                replicate_segment_into(&mut dst, &bank, reps, cycle, base);
-                for (p, e) in expected.iter().enumerate() {
-                    assert_eq!(&dst.node(p), e, "reps {reps}, base {base}, lane {p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn derive_window_pins_the_degenerate_shapes() {
-        use crate::schedulers::PeriodicDegreeBound;
-        use crate::Scheduler;
-        use fhg_graph::generators::erdos_renyi;
-
-        let g = erdos_renyi(24, 0.15, 3);
-        let s = PeriodicDegreeBound::new(&g);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let checker = super::super::GraphChecker::new(&g);
-        let profile = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
-        let cycle = profile.cycle();
-        assert!(cycle > 1);
-
-        // derive_window(t, t) = the empty analysis, at any anchor.
-        for t in [0u64, 1, cycle - 1, cycle, 3 * cycle + 2] {
-            let empty = profile.derive_window("w", &g, t, t);
-            assert_eq!(empty.horizon, 0);
-            assert_eq!(empty.total_happiness, 0);
-            assert!(empty.per_node.iter().all(|n| n.happy_count == 0));
-            let totals = profile.derive_window_totals(t, t);
-            assert_eq!(totals, empty.totals(), "t = {t}");
-            // Inverted windows are zero-width too, never a panic.
-            let inverted = profile.derive_window_totals(t + 5, t);
-            assert_eq!(inverted, totals, "inverted at t = {t}");
-        }
-
-        // derive_window(0, h) = derive(h) wherever derive is defined...
-        for h in [cycle, cycle + 1, 3 * cycle - 1, 4 * cycle] {
-            let classic = profile.derive("w", &g, h).expect("h >= cycle");
-            let windowed = profile.derive_window("w", &g, 0, h);
-            assert_eq!(windowed.totals(), classic.totals(), "h = {h}");
-            assert_eq!(windowed.per_node.len(), classic.per_node.len());
-            for (a, b) in windowed.per_node.iter().zip(&classic.per_node) {
-                assert_eq!(a.happy_count, b.happy_count, "h = {h}, node {}", a.node);
-                assert_eq!(a.max_unhappiness, b.max_unhappiness, "h = {h}, node {}", a.node);
-                assert_eq!(a.first_happy, b.first_happy, "h = {h}, node {}", a.node);
-                assert_eq!(a.observed_period, b.observed_period, "h = {h}, node {}", a.node);
-                assert_eq!(a.mean_gap.to_bits(), b.mean_gap.to_bits(), "h = {h}, node {}", a.node);
-            }
-            assert_eq!(profile.derive_window_totals(0, h), classic.totals(), "totals h = {h}");
-        }
-
-        // ...and stays defined below the cycle, where derive refuses.
-        for h in [1u64, cycle / 2, cycle - 1] {
-            assert!(profile.derive("w", &g, h).is_none());
-            let windowed = profile.derive_window("w", &g, 0, h);
-            assert_eq!(windowed.horizon, h);
-            assert_eq!(
-                windowed.total_happiness,
-                profile.happiness_prefix(h),
-                "sub-cycle happiness folds through the size prefix (h = {h})"
-            );
-            assert_eq!(profile.derive_window_totals(0, h), windowed.totals(), "h = {h}");
-        }
-    }
-
-    #[test]
-    fn totals_saturate_instead_of_overflowing_at_the_u64_boundary() {
-        use crate::analysis::GraphChecker;
-        use fhg_graph::Graph;
-
-        // Four nodes hosting every other holiday: happiness_per_cycle = 4
-        // on a cycle of 2, so reps · per_cycle overflows u64 at horizons
-        // near u64::MAX and must saturate, while every per-node field stays
-        // bounded by the horizon.
-        let graph = Graph::new(4);
-        let view = ResidueSchedule::new(vec![0, 1, 0, 1], vec![2, 2, 2, 2]);
-        let checker = GraphChecker::new(&graph);
-        let profile = CycleProfile::build(&view, 0, 4, &checker);
-        assert_eq!(profile.happiness_per_cycle(), 4);
-
-        let horizon = u64::MAX;
-        let analysis = profile.derive("sat", &graph, horizon).expect("horizon >= cycle");
-        assert_eq!(analysis.total_happiness, u64::MAX, "total must saturate, not wrap");
-        let n0 = &analysis.per_node[0];
-        assert_eq!(n0.happy_count, horizon / 2 + 1, "per-node counts stay exact");
-        assert_eq!(n0.observed_period, Some(2));
-        let totals = profile.derive_totals(horizon).expect("horizon >= cycle");
-        assert_eq!(totals, analysis.totals(), "fast path matches the reduced full derive");
-        assert_eq!(totals.total_happiness, u64::MAX);
-    }
-
-    #[test]
-    fn parallel_build_is_bitwise_identical_across_thread_counts() {
-        use crate::schedulers::PeriodicDegreeBound;
-        use crate::Scheduler;
-        use fhg_graph::generators::erdos_renyi;
-        use rayon::ThreadPoolBuilder;
-
-        let g = erdos_renyi(48, 0.12, 11);
-        let s = PeriodicDegreeBound::new(&g);
-        let view = s.residue_schedule().expect("perfectly periodic");
-        let checker = super::super::GraphChecker::new(&g);
-        let reference = CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker);
-        for threads in [1usize, 2, 3, 8] {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let got = pool
-                .install(|| CycleProfile::build(view, s.first_holiday(), g.node_count(), &checker));
-            assert_eq!(got.cycle(), reference.cycle());
-            assert_eq!(got.all_classes_independent(), reference.all_classes_independent());
-            assert_eq!(got.rows, reference.rows, "{threads} threads: attendance rows");
-            assert_eq!(got.offsets, reference.offsets, "{threads} threads: attendance offsets");
-            assert_eq!(got.size_prefix, reference.size_prefix, "{threads} threads: size prefix");
-            assert_eq!(got.bank, reference.bank, "{threads} threads: column bank");
-            assert!(got.content_eq(&reference), "{threads} threads: content equality");
-        }
-    }
+    use fhg_graph::generators::erdos_renyi;
 
     #[test]
     fn crt_class_matches_brute_force() {
@@ -1692,15 +517,17 @@ mod tests {
                     for s2 in 0..m2 {
                         let got = crt_class(s1, m1, s2, m2);
                         let lcm = m1 / gcd(m1, m2) * m2;
-                        let brute: Vec<u64> =
-                            (0..2 * lcm).filter(|t| t % m1 == s1 && t % m2 == s2).collect();
+                        let brute: Vec<u128> = (0..2 * lcm)
+                            .filter(|t| t % m1 == s1 && t % m2 == s2)
+                            .map(u128::from)
+                            .collect();
                         match got {
                             None => assert!(
                                 brute.is_empty(),
                                 "({s1} mod {m1}, {s2} mod {m2}): CRT says never, brute {brute:?}"
                             ),
                             Some((t0, l)) => {
-                                assert_eq!(l, lcm);
+                                assert_eq!(l, u128::from(lcm));
                                 assert!(t0 < l, "first solution must be canonical");
                                 assert_eq!(
                                     brute,
@@ -1713,137 +540,176 @@ mod tests {
                 }
             }
         }
-        fn gcd(a: u64, b: u64) -> u64 {
-            if b == 0 {
-                a
-            } else {
-                gcd(b, a % b)
+
+        // Moduli far beyond any cycle: coprime pairs near 2^32 and 2^63
+        // (whose lcm overflows u64), the largest u64 pair, and a
+        // non-coprime pair whose reduced modulus exceeds 2^63.5.
+        let big = [
+            ((1u64 << 32) - 5, (1u64 << 32) + 15),
+            ((1u64 << 63) - 25, (1u64 << 63) + 29),
+            (u64::MAX, u64::MAX - 1),
+            (3 << 62, (1 << 63) + 3),
+        ];
+        for (m1, m2) in big {
+            let g = gcd(m1, m2);
+            let lcm = u128::from(m1 / g) * u128::from(m2);
+            for (s1, s2) in [(0, 0), (m1 - 1, m2 - 1), (m1 / 3, m2 / 7), (12345, 67890)] {
+                match crt_class(s1, m1, s2, m2) {
+                    None => assert_ne!(s1 % g, s2 % g, "({s1} mod {m1}, {s2} mod {m2})"),
+                    Some((t0, l)) => {
+                        assert_eq!(l, lcm, "({m1}, {m2}): exact lcm");
+                        assert!(t0 < l);
+                        assert_eq!(t0 % u128::from(m1), u128::from(s1), "({s1} mod {m1})");
+                        assert_eq!(t0 % u128::from(m2), u128::from(s2), "({s2} mod {m2})");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn patch_tracks_a_row_change_like_a_rebuild() {
-        use crate::analysis::GraphChecker;
-        use fhg_graph::Graph;
+    fn profile_exposes_each_nodes_progression() {
+        let g = erdos_renyi(20, 0.2, 9);
+        let view = ResidueSchedule::new(vec![0, 1, 2, 3, 4, 5], vec![2, 3, 4, 6, 12, 12]);
+        let profile = CycleProfile::new(&view, 7, &g);
+        assert_eq!(profile.cycle(), 12);
+        for p in 0..6 {
+            let offsets: Vec<u64> = profile.attendance_offsets(p).collect();
+            assert_eq!(offsets.len() as u64, profile.count_per_cycle(p));
+            let m = view.modulus(p);
+            assert!(offsets.iter().all(|&o| (7 + o) % m == view.slot(p)), "node {p}");
+            assert!(offsets.windows(2).all(|w| w[1] - w[0] == m), "node {p}");
+        }
+        // Graph nodes the view does not cover never attend.
+        assert_eq!(profile.count_per_cycle(19), 0);
+        assert_eq!(profile.attendance_offsets(19).count(), 0);
+    }
 
-        // A small schedule whose cycle (12) survives moving nodes between
-        // the moduli {2, 3, 4, 6, 12}; the edgeless graph keeps every
-        // verification green so the structural repair is what's compared.
-        let g = Graph::new(6);
-        let checker = GraphChecker::new(&g);
-        let mut view = ResidueSchedule::new(vec![0, 1, 2, 3, 0, 5], vec![2, 3, 4, 6, 12, 12]);
-        let mut profile = CycleProfile::build(&view, 1, 6, &checker);
-        let mut scratch = PatchScratch::new();
-
-        // A sequence of row moves, including same-length (4 -> 4 via slot
-        // change), shrinking (2 -> 6) and growing (12 -> 3) rows.
-        let moves: &[(usize, u64, u64)] =
-            &[(2, 1, 4), (0, 1, 6), (5, 2, 3), (0, 0, 2), (3, 1, 4), (5, 0, 12)];
-        for &(p, slot, m) in moves {
-            let change = RowChange {
-                node: p,
-                old_slot: view.slot(p),
-                old_modulus: view.modulus(p),
-                new_slot: slot,
-                new_modulus: m,
-            };
-            view.set_row(p, slot, m);
-            assert_eq!(view.cycle(), 12, "moves must preserve the cycle");
-            let stats =
-                profile.patch(&view, &[change], None, &checker, &mut scratch).expect("same cycle");
-            assert_eq!(stats.lanes_patched, 1);
-            let rebuilt = CycleProfile::build(&view, 1, 6, &checker);
-            assert!(
-                profile.content_eq(&rebuilt),
-                "patched profile diverged from rebuild after moving node {p} to {slot} mod {m}"
-            );
+    #[test]
+    fn derive_refuses_sub_cycle_horizons_and_windows_do_not() {
+        let g = erdos_renyi(24, 0.15, 3);
+        let view = ResidueSchedule::new((0..24).map(|p| p % 4).collect(), vec![4; 24]);
+        let profile = CycleProfile::new(&view, 0, &g);
+        assert!(profile.derive("x", &g, 0).is_none());
+        assert!(profile.derive_totals(3).is_none());
+        assert!(profile.derive("x", &g, 4).is_some());
+        for (t0, t1) in [(0, 0), (5, 5), (9, 2)] {
+            let empty = profile.derive_window("w", &g, t0, t1);
+            assert_eq!(empty.horizon, 0);
+            assert!(empty.all_happy_sets_independent, "an empty window hosts nothing");
+            assert_eq!(profile.derive_window_totals(t0, t1), empty.totals());
         }
     }
 
     #[test]
-    fn patch_refuses_cycle_changes_and_broken_verdicts() {
-        use crate::analysis::GraphChecker;
-        use fhg_graph::generators::structured::path;
-
-        let g = path(3);
-        let checker = GraphChecker::new(&g);
-        let view = ResidueSchedule::new(vec![0, 1, 0], vec![2, 2, 4]);
-        let mut profile = CycleProfile::build(&view, 0, 3, &checker);
-        let mut scratch = PatchScratch::new();
-
-        // A view whose cycle differs from the profiled one.
-        let stretched = ResidueSchedule::new(vec![0, 1, 0], vec![2, 2, 8]);
-        let refusal = profile.patch(&stretched, &[], None, &checker, &mut scratch);
-        assert_eq!(refusal, Err(PatchRefused::CycleChanged { old: 4, new: 8 }));
-
-        // A profile whose verdict is already false: adjacent path nodes 0
-        // and 1 share the row 0 mod 2, so every even class conflicts.
-        let clashing = ResidueSchedule::new(vec![0, 0, 1], vec![2, 2, 4]);
-        let mut broken = CycleProfile::build(&clashing, 0, 3, &checker);
-        assert!(!broken.all_classes_independent());
-        let refusal = broken.patch(&clashing, &[], None, &checker, &mut scratch);
-        assert_eq!(refusal, Err(PatchRefused::NotIndependent));
-        assert!(format!("{}", refusal.unwrap_err()).contains("rebuild"));
+    fn totals_saturate_instead_of_overflowing_at_the_u64_boundary() {
+        // Four nodes hosting every other holiday: the whole-window total
+        // overflows u64 near u64::MAX and must saturate, while every
+        // per-node field stays exact.
+        let graph = Graph::new(4);
+        let view = ResidueSchedule::new(vec![0, 1, 0, 1], vec![2, 2, 2, 2]);
+        let profile = CycleProfile::new(&view, 0, &graph);
+        let horizon = u64::MAX;
+        let analysis = profile.derive("sat", &graph, horizon).expect("horizon >= cycle");
+        assert_eq!(analysis.total_happiness, u64::MAX, "total must saturate, not wrap");
+        let n0 = &analysis.per_node[0];
+        assert_eq!(n0.happy_count, horizon / 2 + 1, "per-node counts stay exact");
+        assert_eq!(n0.observed_period, Some(2));
+        let totals = profile.derive_totals(horizon).expect("horizon >= cycle");
+        assert_eq!(totals, analysis.totals());
     }
 
     #[test]
-    fn patch_detects_freshly_conflicting_classes_via_the_inserted_edge() {
-        use crate::analysis::GraphChecker;
-        use fhg_graph::Graph;
+    fn build_through_a_checker_equals_new_on_every_layout() {
+        let g = erdos_renyi(40, 0.15, 5);
+        let view = ResidueSchedule::new((0..42).map(|p| p % 3).collect(), vec![3; 42]);
+        let reference = CycleProfile::new(&view, 2, &g);
+        assert!(!reference.all_classes_independent());
+        for (flat, blocked) in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
+            let checker = GraphChecker::with_limits(&g, flat, blocked);
+            let built = CycleProfile::build(&view, 2, g.node_count(), &checker);
+            assert!(built.content_eq(&reference), "layout {}", checker.layout());
+        }
+    }
 
-        // Nodes 0 and 1 co-attend every 6th holiday (0 mod 2 ∩ 0 mod 3).
-        let mut g = Graph::new(2);
-        let view = ResidueSchedule::new(vec![0, 0], vec![2, 3]);
-        let checker = GraphChecker::new(&g);
-        let mut profile = CycleProfile::build(&view, 0, 2, &checker);
-        assert!(profile.all_classes_independent(), "no edges yet");
-        let mut scratch = PatchScratch::new();
-
-        // Insert the edge without any recoloring (no row changes): the
-        // repair must find the co-attendance classes by CRT and flip the
-        // verdict, exactly as a rebuild against the new graph would.
-        g.add_edge(0, 1).unwrap();
-        let post_checker = GraphChecker::new(&g);
-        let stats = profile
-            .patch(&view, &[], Some((0, 1)), &post_checker, &mut scratch)
-            .expect("cycle unchanged");
-        assert_eq!(stats.classes_verified, 1, "one co-attendance class in a cycle of 6");
+    #[test]
+    fn the_verdict_follows_the_window() {
+        // Edge {0, 1} collides only on t ≡ 0 (mod 4); node 3 is outside
+        // the graph and attends t ≡ 1 (mod 8).
+        let graph = Graph::from_edges(3, [(0, 1)]).unwrap();
+        let view = ResidueSchedule::new(vec![0, 0, 1, 1], vec![4, 4, 2, 8]);
+        let profile = CycleProfile::new(&view, 0, &graph);
         assert!(!profile.all_classes_independent());
-        let rebuilt = CycleProfile::build(&view, 0, 2, &post_checker);
-        assert!(profile.content_eq(&rebuilt));
+        let independent = |t0, t1| profile.derive_window_totals(t0, t1).all_happy_sets_independent;
+        assert!(independent(2, 4), "no conflict in [2, 4)");
+        assert!(!independent(0, 1), "edge conflict at 0");
+        assert!(!independent(1, 2), "stray node at 1");
+        assert!(independent(10, 12));
+        assert!(!independent(9, 10));
     }
 
     #[test]
-    fn patch_compaction_keeps_every_row_intact() {
-        use crate::analysis::GraphChecker;
-        use fhg_graph::Graph;
-
-        // Bounce one node between a 12-row and a 2-row progression until
-        // retired rows outweigh live ones and compaction kicks in; the
-        // profile must stay identical to a rebuild throughout.
-        let g = Graph::new(4);
-        let checker = GraphChecker::new(&g);
-        let mut view = ResidueSchedule::new(vec![0, 1, 2, 3], vec![12, 12, 12, 12]);
-        let mut profile = CycleProfile::build(&view, 0, 4, &checker);
+    fn patch_tracks_row_changes_and_edge_events_like_a_rebuild() {
+        // Start from a clean 6-node path schedule and push events that
+        // create, keep and heal violations, including cycle changes.
+        let mut graph = fhg_graph::generators::structured::path(6);
+        let mut view = ResidueSchedule::new(vec![0, 1, 0, 1, 0, 1], vec![2; 6]);
+        let mut profile = CycleProfile::new(&view, 3, &graph);
         let mut scratch = PatchScratch::new();
-        for round in 0..6u64 {
-            let m = if round % 2 == 0 { 2 } else { 12 };
-            let change = RowChange {
-                node: 0,
-                old_slot: view.slot(0),
-                old_modulus: view.modulus(0),
-                new_slot: round % 2,
-                new_modulus: m,
-            };
-            view.set_row(0, round % 2, m);
-            profile.patch(&view, &[change], None, &checker, &mut scratch).expect("cycle fixed");
-            let rebuilt = CycleProfile::build(&view, 0, 4, &checker);
-            assert!(profile.content_eq(&rebuilt), "round {round}");
+        assert!(profile.all_classes_independent());
+
+        type Step = (Option<(NodeId, NodeId)>, &'static [(NodeId, u64, u64)]);
+        let steps: &[Step] = &[
+            (Some((0, 2)), &[]),                     // insert a conflicting edge
+            (None, &[(2, 1, 4)]),                    // moving node 2 heals it
+            (Some((1, 3)), &[(3, 0, 3)]),            // insert + recolor, cycle 12
+            (Some((0, 2)), &[]),                     // delete an edge
+            (None, &[(0, 1, 2), (1, 1, 2)]),         // two moves, shared edge
+            (Some((0, 1)), &[(0, 0, 2), (0, 0, 4)]), // a node moved twice
+        ];
+        for (i, &(toggle, moves)) in steps.iter().enumerate() {
+            let edge = toggle.unwrap_or((4, 5));
+            if let Some((u, v)) = toggle {
+                if graph.has_edge(u, v) {
+                    graph.remove_edge(u, v).unwrap();
+                } else {
+                    graph.add_edge(u, v).unwrap();
+                }
+            }
+            let changes: Vec<RowChange> = moves
+                .iter()
+                .map(|&(p, slot, m)| {
+                    let change = RowChange {
+                        node: p,
+                        old_slot: view.slot(p),
+                        old_modulus: view.modulus(p),
+                        new_slot: slot,
+                        new_modulus: m,
+                    };
+                    view.set_row(p, slot, m);
+                    change
+                })
+                .collect();
+            let stats = profile.patch(&view, &graph, &changes, edge, &mut scratch);
+            assert_eq!(stats.lanes_patched, changes.len());
+            let rebuilt = CycleProfile::new(&view, 3, &graph);
+            assert!(profile.content_eq(&rebuilt), "step {i}: patched profile diverged");
         }
-        assert!(
-            profile.garbage * 2 <= profile.offsets.len(),
-            "compaction must keep retired entries at most half the arena"
-        );
+    }
+
+    #[test]
+    fn patch_counts_exactly_the_edges_it_checks() {
+        let mut graph = Graph::new(2);
+        let view = ResidueSchedule::new(vec![0, 0], vec![2, 3]);
+        let mut profile = CycleProfile::new(&view, 0, &graph);
+        let mut scratch = PatchScratch::new();
+        graph.add_edge(0, 1).unwrap();
+        let stats = profile.patch(&view, &graph, &[], (1, 0), &mut scratch);
+        assert_eq!(stats, PatchStats { lanes_patched: 0, classes_verified: 1 });
+        assert!(!profile.all_classes_independent(), "0 mod 2 and 0 mod 3 meet at 0 mod 6");
+        graph.remove_edge(0, 1).unwrap();
+        let stats = profile.patch(&view, &graph, &[], (0, 1), &mut scratch);
+        assert_eq!(stats.classes_verified, 0, "a deleted edge needs no check");
+        assert!(profile.all_classes_independent(), "the deletion heals the verdict");
     }
 }

@@ -24,10 +24,8 @@
 //!   column passes on the `fhg_graph::kernels` arithmetic family (per-node
 //!   conditionals become word masks: comparisons, masked select/merge,
 //!   element-wise max, scaled folds — runtime-dispatched to the AVX2 wide
-//!   loops like every other hot kernel), the u64→f64 finalise rides the
-//!   explicit-NaN ratio kernel, and the closed-form replicate fold streams
-//!   the columns in one fused pass (`profile::fold_lane` — composing ~20
-//!   generic kernel passes measured ~3.5x the memory traffic).
+//!   loops like every other hot kernel), and the u64→f64 finalise rides
+//!   the explicit-NaN ratio kernel.
 //!
 //! # The merge algebra, column-wise
 //!
@@ -50,10 +48,8 @@
 //! Because every step reproduces the scalar rule bit for bit (property
 //! tests below pin `merge_from` against [`merge_node`] per node), any
 //! partition of the horizon into contiguous segments — one shard per
-//! worker thread here, one shard per cycle-range in the parallel profile
-//! build, or `horizon / cycle` analytically replicated copies of one cycle
-//! in [`super::profile`] — merges back to a result bitwise-identical to
-//! the sequential sweep (locked down end-to-end by
+//! worker thread here — merges back to a result bitwise-identical to the
+//! sequential sweep (locked down end-to-end by
 //! `tests/analysis_parity.rs`).
 //!
 //! [`BankSweep`] is the per-worker driver: a contiguous offset range,
@@ -61,15 +57,14 @@
 //! per-holiday loop performs zero heap allocations.  [`finalize_bank`]
 //! assembles the merged global bank into the public [`ScheduleAnalysis`]
 //! (trailing stretch, observed period and the float statistics derived
-//! column-wise), and [`totals_from_bank`] is the totals-only fast path
-//! that skips the per-node assembly and float work entirely.
+//! column-wise).
 
 use std::ops::Range;
 
 use fhg_graph::{kernels, Graph, HappySet};
 
 use super::checker::HolidayChecker;
-use super::{AnalysisTotals, NodeAnalysis, ScheduleAnalysis};
+use super::{NodeAnalysis, ScheduleAnalysis};
 
 /// Sentinel for "no offset/gap recorded yet" in the packed accumulators
 /// (horizons never reach `u64::MAX`).
@@ -217,9 +212,7 @@ impl AccumBank {
         self.count.len()
     }
 
-    /// Resets every lane to the empty accumulator, resizing to `n` lanes
-    /// (no reallocation when `n` already fits — the scratch-reuse path of
-    /// the zero-allocation derive).
+    /// Resets every lane to the empty accumulator, resizing to `n` lanes.
     pub(crate) fn reset(&mut self, n: usize) {
         for (col, empty) in [
             (&mut self.count, 0),
@@ -233,24 +226,6 @@ impl AccumBank {
         ] {
             col.clear();
             col.resize(n, empty);
-        }
-    }
-
-    /// Sizes every column to `n` lanes without initialising them (contents
-    /// unspecified) — for out-of-place folds that fully overwrite every
-    /// lane.  Steady-state cost on a warm scratch bank: none.
-    pub(crate) fn resize_lanes(&mut self, n: usize) {
-        for col in [
-            &mut self.count,
-            &mut self.first,
-            &mut self.last,
-            &mut self.gap_sum,
-            &mut self.gap_count,
-            &mut self.first_gap,
-            &mut self.max_streak,
-            &mut self.uniform,
-        ] {
-            col.resize(n, 0);
         }
     }
 
@@ -276,21 +251,6 @@ impl AccumBank {
             }
         }
         self.last[p] = offset;
-    }
-
-    /// Resets one lane to the empty accumulator — the unit of the
-    /// incremental patch path, which re-replays a single node's attendance
-    /// offsets after a [`crate::schedulers::residue::RowChange`] without
-    /// touching any other lane.  Same empties as [`AccumBank::reset`].
-    pub(crate) fn clear_lane(&mut self, p: usize) {
-        self.count[p] = 0;
-        self.first[p] = NONE;
-        self.last[p] = NONE;
-        self.gap_sum[p] = 0;
-        self.gap_count[p] = 0;
-        self.first_gap[p] = NONE;
-        self.max_streak[p] = 0;
-        self.uniform[p] = UNIFORM;
     }
 
     /// One lane as a [`NodeAccum`] — the bridge the property tests compare
@@ -403,8 +363,7 @@ impl AccumBank {
 }
 
 /// Reusable mask/temporary columns for the bank algebra — allocated once
-/// per analysis (or owned by a `DeriveScratch` for the zero-allocation
-/// serving path), never per holiday.
+/// per analysis, never per holiday.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnScratch {
     pub(super) m0: Vec<u64>,
@@ -737,47 +696,6 @@ pub(super) fn finalize_bank(
     }
 }
 
-/// The totals-only fast path: reduces a merged global bank straight to the
-/// whole-schedule aggregates in **one streaming pass over five columns** —
-/// no `NodeAnalysis` assembly, no per-node float work (`mean_gap` is never
-/// computed), no column writes at all.  Matches the aggregate view of the
-/// full [`finalize_bank`] output by construction.
-pub(super) fn totals_from_bank(
-    horizon: u64,
-    bank: &AccumBank,
-    all_independent: bool,
-    total_happiness: u64,
-) -> AnalysisTotals {
-    let n = bank.len();
-    let count = &bank.count[..n];
-    let last = &bank.last[..n];
-    let first_gap = &bank.first_gap[..n];
-    let streak = &bank.max_streak[..n];
-    let uniform = &bank.uniform[..n];
-    let mut max_unhappiness = 0u64;
-    let mut all_periodic = true;
-    let mut never_happy = 0u64;
-    for p in 0..n {
-        let trailing = if last[p] == NONE { horizon } else { horizon - 1 - last[p] };
-        max_unhappiness = max_unhappiness.max(streak[p].max(trailing));
-        all_periodic &= uniform[p] != 0 && first_gap[p] != NONE;
-        never_happy += u64::from(count[p] == 0);
-    }
-    AnalysisTotals {
-        horizon,
-        total_happiness,
-        mean_happy_set_size: if horizon == 0 {
-            0.0
-        } else {
-            total_happiness as f64 / horizon as f64
-        },
-        max_unhappiness,
-        all_periodic,
-        never_happy,
-        all_happy_sets_independent: all_independent,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,13 +881,6 @@ mod tests {
             }
             assert_eq!(got.never_happy, expected.never_happy);
             assert_eq!(got.mean_happy_set_size.to_bits(), expected.mean_happy_set_size.to_bits());
-
-            // And the totals-only fast path agrees with the reduced full
-            // analysis.
-            let mut global2 = AccumBank::new(n);
-            global2.merge_from(&bank, &mut cols);
-            let totals = totals_from_bank(horizon, &global2, true, 7);
-            assert_eq!(totals, expected.totals(), "horizon {horizon}");
         }
     }
 }

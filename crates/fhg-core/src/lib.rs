@@ -42,16 +42,16 @@ pub mod serving;
 pub use analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals,
     analyze_schedule_with_checker, analyze_schedule_with_engine, AnalysisEngine, AnalysisTotals,
-    CycleProfile, DeriveScratch, GraphChecker, HolidayChecker, NodeAnalysis, PatchRefused,
-    PatchScratch, PatchStats, ScanChecker, ScheduleAnalysis,
+    CycleProfile, GraphChecker, HolidayChecker, NodeAnalysis, PatchScratch, PatchStats,
+    ScheduleAnalysis,
 };
 pub use gathering::{orientation_from_happy_set, Gathering};
 pub use scheduler::Scheduler;
 pub use serving::{
-    audit_step_size, patch_limit, snapshot_dir, wal_sync, AuditStats, CacheStats, PatchError,
-    PatchOutcome, ProfileService, QuarantineReason, Query, QueryError, RecoverError,
-    RecoveryReport, RegisterError, SnapshotStats, WalSync, WalWriter, WindowAnalysis, WindowTotals,
-    AUDIT_STEP, PATCH_LIMIT, SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
+    audit_step_size, snapshot_dir, wal_sync, AuditStats, CacheStats, PatchError, PatchOutcome,
+    ProfileService, QuarantineReason, Query, QueryError, RecoverError, RecoveryReport,
+    RegisterError, SnapshotStats, WalSync, WalWriter, WindowAnalysis, WindowTotals, AUDIT_STEP,
+    SNAPSHOT_FILE, WAL_FILE, WAL_SYNC,
 };
 
 /// The zero-allocation per-holiday buffer filled by

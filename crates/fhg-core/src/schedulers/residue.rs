@@ -30,8 +30,8 @@ use fhg_graph::{FixedBitSet, HappySet, NodeId};
 /// repair (§6 recolouring) hands to [`ResidueSchedule::apply_row`] and to the
 /// incremental profile patch
 /// ([`CycleProfile::patch`](crate::analysis::CycleProfile::patch)).  Carries
-/// both the old and the new row so downstream caches can retire the old
-/// attendance lane and re-verify exactly the classes the new one joins.
+/// both the old and the new row, so a change can be inverted (the serving
+/// tier's rollback) or checked against the row it replaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RowChange {
     /// The node whose hosting row changed.
@@ -177,8 +177,7 @@ pub struct ResidueSchedule {
     mods: Vec<(u64, usize)>,
     cycle: u64,
     /// Precomputed `Σ_p cycle / m_p` (saturating) — the per-cycle attendance
-    /// volume.  Cached at construction so the engine-selection budget check
-    /// costs O(1) per analysis instead of one divide per node.
+    /// volume, O(1) to read.
     attendance: u64,
     /// Word-packed emission rows; `None` when over the memory budget or the
     /// rows would be too sparse to beat the bucket index.
@@ -341,14 +340,10 @@ impl ResidueSchedule {
     }
 
     /// Total happy appearances over one full cycle: `Σ_p cycle / m_p`
-    /// (saturating), precomputed at construction.  This — not the cycle
-    /// length — is what bounds the memory of a closed-form
-    /// [`CycleProfile`](crate::analysis::CycleProfile), so
-    /// [`AnalysisEngine::select`](crate::analysis::AnalysisEngine::select)
-    /// budgets on it: a hub-and-spoke degree distribution can pack
+    /// (saturating), precomputed at construction — the work one cycle of a
+    /// sweep emits (a hub-and-spoke degree distribution can pack
     /// `n · cycle / 2` attendances into one cycle even when the cycle itself
-    /// is short.  The profile builder also sizes its per-shard event lists
-    /// from it, so the class walk never regrows them.
+    /// is short).
     pub fn attendance_per_cycle(&self) -> u64 {
         self.attendance
     }
@@ -503,54 +498,9 @@ impl ResidueSchedule {
         self.hosts_into(t, &mut out);
         out
     }
-
-    /// Enumerates one full cycle of residue classes starting at holiday
-    /// `start`, yielding each class's happy set from a single reused buffer —
-    /// the emission path of the closed-form
-    /// [`CycleProfile`](crate::analysis::CycleProfile) builder, which fills
-    /// each class exactly once and never re-fills.
-    ///
-    /// The enumerator is *lending*: each yielded set borrows the internal
-    /// buffer, so consume it before asking for the next class.  Callers must
-    /// bound the walk themselves when the cycle is astronomically long
-    /// (saturated lcms yield `u64::MAX` classes).
-    pub fn classes(&self, start: u64) -> CycleClasses<'_> {
-        CycleClasses {
-            schedule: self,
-            next: start,
-            remaining: self.cycle,
-            buf: HappySet::new(self.node_count()),
-        }
-    }
 }
 
-/// Lending enumerator over the residue classes of one full cycle: yields
-/// `(holiday, happy set)` for `cycle` consecutive holidays, filling one
-/// internal buffer per class (no per-class allocation, no re-fill).  Built by
-/// [`ResidueSchedule::classes`].
-pub struct CycleClasses<'a> {
-    schedule: &'a ResidueSchedule,
-    next: u64,
-    remaining: u64,
-    buf: HappySet,
-}
-
-impl CycleClasses<'_> {
-    /// Fills and yields the next residue class, or `None` after one full
-    /// cycle.  Lending: the returned set is valid until the next call.
-    pub fn next_class(&mut self) -> Option<(u64, &HappySet)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let t = self.next;
-        self.schedule.fill(t, &mut self.buf);
-        self.next += 1;
-        self.remaining -= 1;
-        Some((t, &self.buf))
-    }
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -738,21 +688,6 @@ mod tests {
         assert_eq!(out, vec![0]);
         table.hosts_into(1, &mut out);
         assert_eq!(out, vec![1], "previous holiday's members must be cleared");
-    }
-
-    #[test]
-    fn cycle_enumeration_yields_every_class_once_without_refill() {
-        let s = ResidueSchedule::new(vec![0, 1, 2], vec![2, 3, 4]);
-        let start = 5u64;
-        let mut classes = s.classes(start);
-        let mut seen = 0u64;
-        while let Some((t, happy)) = classes.next_class() {
-            assert_eq!(t, start + seen, "classes arrive in holiday order");
-            assert_eq!(happy.to_vec(), s.hosts(t), "holiday {t}");
-            seen += 1;
-        }
-        assert_eq!(seen, s.cycle(), "exactly one yield per residue class");
-        assert!(classes.next_class().is_none(), "enumeration stays exhausted");
     }
 
     /// Every aggregate and emission answer of a row-edited schedule must be

@@ -31,10 +31,10 @@
 //! * `SLOT_PROFILE` — `key:64 | state:3` where state is 0 Building,
 //!   1 Warm (followed by `all_independent:1`), 2–5 Quarantined
 //!   (PatchPanic, BuildPanic, AuditMismatch, RecoveryMismatch).  A warm
-//!   profile stores **no lanes, sizes or bank**: everything except the
-//!   verdict bit is a pure function of `(view, start, node_count)` and is
-//!   reconstructed by [`CycleProfile::rehydrate`] in `O(cycle+attendance)`
-//!   — recovery never cold-builds an uncorrupted slot.
+//!   profile stores **nothing but its verdict bit**: the profile is a pure
+//!   function of the slot's persisted `(graph, view, start)`, restored by
+//!   [`CycleProfile::new`] in `O(n + |E|)` per slot, and the stored bit
+//!   is checked against the restored verdict.
 //! * `END`          — the atomic-completion marker; a snapshot without it
 //!   is torn and only its readable prefix is salvaged.
 //!
@@ -77,7 +77,10 @@
 //!    [`Quarantined`](super::SlotState::Quarantined) with
 //!    [`QuarantineReason::RecoveryMismatch`] — content is intact, so
 //!    [`ProfileService::repair_quarantined`] rebuilds it.  Warm slots are
-//!    **rehydrated**, not rebuilt.
+//!    restored from their content; a restored verdict that disagrees with
+//!    the stored bit (the snapshot caught a silently poisoned verdict, or
+//!    the content was corrupted past its checksum) takes the same
+//!    `RecoveryMismatch` quarantine.
 //! 3. **Replay** the WAL through the live [`ProfileService::patch`] plane.
 //!    A frame for an unknown tenant is skipped and counted.  A frame that
 //!    faults (a `recover.replay` failpoint, a panic, a graph/budget
@@ -257,8 +260,8 @@ pub struct RecoveryReport {
     pub slots_loaded: usize,
     /// Tenant bindings restored.
     pub tenants_restored: usize,
-    /// Warm profiles reconstructed via [`CycleProfile::rehydrate`] (never
-    /// a cold build).
+    /// Warm profiles restored from their persisted content whose verdict
+    /// matched the stored bit.
     pub profiles_rehydrated: usize,
     /// Snapshot sections dropped: checksum-corrupt frames, duplicate or
     /// undecodable slots, unknown tags.
@@ -612,7 +615,7 @@ impl ProfileService {
         })
     }
 
-    /// Rebuilds a service from `dir`: load + verify the snapshot, rehydrate
+    /// Rebuilds a service from `dir`: load + verify the snapshot, restore
     /// warm profiles, replay the WAL through the patch plane, audit a
     /// sample — the full recovery state machine described in the module
     /// docs.  Only a missing/foreign/unreadable snapshot fails the call;
@@ -687,15 +690,13 @@ impl ProfileService {
             report.snapshot_torn = true;
         }
 
-        // Assemble: every decoded slot either restores (warm slots
-        // rehydrated — never cold-built), survives quarantined, or is
-        // dropped when its budgets no longer validate.
+        // Assemble: every decoded slot either restores (warm slots from
+        // their content, verdict checked against the stored bit), survives
+        // quarantined, or is dropped when its cycle no longer validates.
         let mut svc = ProfileService::new();
         svc.next_private_key = next_private_key;
         for pending in contents {
-            let cycle = pending.view.cycle();
-            let attendance = pending.view.attendance_per_cycle();
-            if cycle > CycleProfile::MAX_CYCLE || attendance > CycleProfile::MAX_EVENTS {
+            if pending.view.cycle() > CycleProfile::MAX_CYCLE {
                 report.sections_dropped += 1;
                 continue;
             }
@@ -712,13 +713,13 @@ impl ProfileService {
             }
             let state = match states.get(&pending.key) {
                 Some(PendingState::Warm { all_independent }) => {
-                    report.profiles_rehydrated += 1;
-                    SlotState::Warm(CycleProfile::rehydrate(
-                        &pending.view,
-                        pending.start,
-                        pending.graph.node_count(),
-                        *all_independent,
-                    ))
+                    let profile = CycleProfile::new(&pending.view, pending.start, &pending.graph);
+                    if profile.all_classes_independent() == *all_independent {
+                        report.profiles_rehydrated += 1;
+                        SlotState::Warm(profile)
+                    } else {
+                        SlotState::Quarantined(QuarantineReason::RecoveryMismatch)
+                    }
                 }
                 Some(PendingState::Building) => SlotState::Building,
                 Some(PendingState::Quarantined(reason)) => SlotState::Quarantined(*reason),
@@ -932,6 +933,36 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_verdict_the_content_contradicts_quarantines_the_slot() {
+        let dir = TempDir::new("verdict");
+        let g = erdos_renyi(20, 0.15, 7);
+        let mut svc = ProfileService::new();
+        svc.register(1, &g, &PeriodicDegreeBound::new(&g)).expect("register");
+        svc.build_pending();
+        assert!(svc.profile(1).expect("warm").all_classes_independent());
+
+        // Re-frame the snapshot with the warm slot's verdict bit flipped —
+        // a silently poisoned verdict that reached the disk.
+        let bytes = svc.snapshot_bytes();
+        let mut forged = SNAPSHOT_MAGIC.to_vec();
+        let mut pos = SNAPSHOT_MAGIC.len();
+        while let SectionRead::Section { tag, payload, end } = wire::read_section(&bytes, pos) {
+            let mut payload = payload.to_vec();
+            if tag == TAG_SLOT_PROFILE {
+                payload[8] ^= 0x10; // key:64 | state:3 | all_independent:1
+            }
+            wire::write_section(&mut forged, tag, &payload);
+            pos = end;
+        }
+        fs::write(dir.path().join(SNAPSHOT_FILE), forged).expect("write");
+
+        let (recovered, report) = ProfileService::recover(dir.path()).expect("recover");
+        assert_eq!((report.slots_loaded, report.profiles_rehydrated), (1, 0));
+        assert_eq!(report.quarantined, 1);
+        assert_eq!(recovered.quarantine_reason(1), Some(QuarantineReason::RecoveryMismatch));
+    }
+
+    #[test]
     fn wal_replay_converges_with_the_live_service() {
         let dir = TempDir::new("wal-replay");
         let g = erdos_renyi(24, 0.12, 42);
@@ -972,10 +1003,9 @@ mod tests {
         let h = recovered.profile(1).expect("warm").cycle() * 3;
         assert_eq!(svc.query_totals(1, 0, h), recovered.query_totals(1, 0, h));
         assert!(recovered.profile(1).unwrap().content_eq(svc.profile(1).unwrap()));
-        // Replay takes the same patch-vs-rebuild decisions the live
-        // service took, and recovery itself added no cold build on top
-        // (`build_pending` counts its builds into `rebuilds`, replay
-        // rebuilds only where the live patch rebuilt).
+        // Replay patches every frame in place, like the live service, and
+        // recovery itself adds no build (`build_pending` counts its builds
+        // into `rebuilds`).
         assert_eq!(recovered.stats().rebuilds, svc.stats().rebuilds - initial_builds);
         assert_eq!(recovered.stats().patches, svc.stats().patches);
     }

@@ -512,6 +512,12 @@ impl BlockedAdjacency {
         self.dense.count()
     }
 
+    /// The neighbours of `u`, ascending (from the owned CSR, whatever the
+    /// node's tiling).
+    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        self.csr.neighbors(u)
+    }
+
     /// Number of materialised tiles.
     pub fn tile_count(&self) -> usize {
         self.arena.len() / TILE_AREA_WORDS

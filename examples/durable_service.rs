@@ -76,7 +76,7 @@ fn main() {
     drop(wal);
     let (recovered, report) = ProfileService::recover(&dir).expect("recover");
     println!(
-        "recovered: {} slots, {} tenants, {} rehydrated, {} WAL frames replayed, \
+        "recovered: {} slots, {} tenants, {} restored warm, {} WAL frames replayed, \
          torn snapshot: {}, quarantined: {}",
         report.slots_loaded,
         report.tenants_restored,

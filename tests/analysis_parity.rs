@@ -26,58 +26,25 @@
 //! the `FHG_THREADS=1/8` matrix — so a divergence between any two kernel
 //! arms shows up as a parity failure here even if the kernel-level property
 //! tests were ever weakened.  Batched verification rides the same runs: the
-//! closed-form build and the sharded sweep verify through
-//! `HolidayChecker::check_batch`, the reference engine stays per-class, so
-//! every parity case is also a batch-vs-per-class equivalence check.
+//! sharded sweep verifies through `HolidayChecker::check_batch`, the
+//! reference engine stays per-class, so every parity case is also a
+//! batch-vs-per-class equivalence check.  The closed form verifies per edge
+//! by congruence, so parity on the **adversarial** generator
+//! (`tests/common`: violating edges, arbitrary moduli, shifted starts,
+//! views wider than the graph) is what pins its verdict.
 
 use proptest::prelude::*;
 
 use fhg::core::analysis::{
     analyze_schedule, analyze_schedule_reference, analyze_schedule_totals,
-    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, GraphChecker, ScheduleAnalysis,
+    analyze_schedule_with_engine, AnalysisEngine, CycleProfile, GraphChecker,
 };
 use fhg::core::schedulers::standard_suite;
 use fhg::graph::generators::Family;
 use rayon::ThreadPoolBuilder;
 
-/// Asserts two analyses are bitwise-identical, NaN-aware on float fields.
-fn assert_bitwise_identical(sharded: &ScheduleAnalysis, reference: &ScheduleAnalysis, ctx: &str) {
-    assert_eq!(sharded.scheduler, reference.scheduler, "{ctx}");
-    assert_eq!(sharded.horizon, reference.horizon, "{ctx}");
-    assert_eq!(
-        sharded.all_happy_sets_independent, reference.all_happy_sets_independent,
-        "{ctx}: independence verdict"
-    );
-    assert_eq!(sharded.never_happy, reference.never_happy, "{ctx}: never_happy");
-    assert_eq!(sharded.total_happiness, reference.total_happiness, "{ctx}: total_happiness");
-    assert_eq!(
-        sharded.mean_happy_set_size.to_bits(),
-        reference.mean_happy_set_size.to_bits(),
-        "{ctx}: mean_happy_set_size"
-    );
-    assert_eq!(sharded.per_node.len(), reference.per_node.len(), "{ctx}");
-    for (a, b) in sharded.per_node.iter().zip(&reference.per_node) {
-        assert_eq!(a.node, b.node, "{ctx}");
-        assert_eq!(a.degree, b.degree, "{ctx}: node {}", a.node);
-        assert_eq!(a.happy_count, b.happy_count, "{ctx}: node {} happy_count", a.node);
-        assert_eq!(a.max_unhappiness, b.max_unhappiness, "{ctx}: node {} streak", a.node);
-        assert_eq!(a.observed_period, b.observed_period, "{ctx}: node {} period", a.node);
-        assert_eq!(a.first_happy, b.first_happy, "{ctx}: node {} first_happy", a.node);
-        assert_eq!(
-            a.mean_gap.to_bits(),
-            b.mean_gap.to_bits(),
-            "{ctx}: node {} mean_gap (NaN-aware)",
-            a.node
-        );
-    }
-    assert_eq!(
-        sharded.jain_fairness().to_bits(),
-        reference.jain_fairness().to_bits(),
-        "{ctx}: jain_fairness"
-    );
-    assert_eq!(sharded.max_unhappiness(), reference.max_unhappiness(), "{ctx}");
-    assert_eq!(sharded.all_periodic(), reference.all_periodic(), "{ctx}");
-}
+mod common;
+use common::{adversarial, assert_bitwise_identical};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -173,16 +140,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// PR 5 lockdown for the struct-of-arrays derivation planes: for every
-    /// periodic scheduler in the suite, the **parallel profile build**
-    /// (classes sharded across 1/2/8 worker threads), the **fused
-    /// whole-cycle derive** (`horizon = k·cycle`), the **ragged bank
-    /// derive** (`k·cycle ± 1`, replicate + column-merge of the tail) and
-    /// the **totals-only fast path** all agree bitwise with the sequential
-    /// array-of-structs reference.  The kernel modes behind the column
-    /// passes are covered by the CI matrix (`FHG_KERNEL=portable` runs
-    /// this whole suite) plus the explicit-mode proptests in
-    /// `fhg-graph/src/kernels.rs`.
+    /// The closed-form derivations on the suite: for every periodic
+    /// scheduler, a profile built inside a 1/2/8-thread pool derives
+    /// whole-cycle (`horizon = k·cycle`) and ragged (`k·cycle ± 1`)
+    /// horizons, full and totals-only, bitwise-equal to the sequential
+    /// reference.
     #[test]
     fn soa_derivation_planes_match_the_reference(
         family in prop::sample::select(Family::ALL.to_vec()),
@@ -198,8 +160,6 @@ proptest! {
         for (prod, mut reference) in suite_prod.into_iter().zip(suite_ref) {
             let Some(cycle) = prod.schedule_cycle() else { continue };
             let view = prod.residue_schedule().expect("cycle implies a residue view");
-            // Build inside the pinned pool: the class walk shards across
-            // exactly `threads` workers.
             let profile = pool.install(|| {
                 CycleProfile::build(view, prod.first_holiday(), graph.node_count(), &checker)
             });
@@ -306,6 +266,43 @@ fn more_threads_than_holidays() {
             let got = pool.install(|| analyze_schedule(&graph, prod.as_mut(), horizon));
             let ctx = format!("{} at horizon {horizon}, 8 threads", expected.scheduler);
             assert_bitwise_identical(&got, &expected, &ctx);
+        }
+    }
+}
+
+/// The adversarial generator: the closed form (forced, and through a
+/// prebuilt profile's `derive`) and the sharded sweep agree bitwise with
+/// the sequential reference on schedules no suite scheduler produces —
+/// violating edges, coprime and non-power-of-two moduli, nonzero starts,
+/// views wider than the graph — at horizons below, at and around the
+/// cycle, on 1/2/8-thread pools.
+#[test]
+fn engines_match_the_reference_on_adversarial_schedules() {
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for seed in 0..40u64 {
+            let instance = adversarial(seed);
+            let graph = &instance.graph;
+            let checker = GraphChecker::new(graph);
+            let cycle = instance.view.cycle();
+            let profile = pool.install(|| CycleProfile::new(&instance.view, instance.start, graph));
+            for horizon in [1, cycle / 2 + 1, cycle, cycle + 1, 2 * cycle - 1, 3 * cycle + 5] {
+                let reference =
+                    analyze_schedule_reference(graph, &mut instance.scheduler(), horizon);
+                let ctx =
+                    format!("seed {seed}, cycle {cycle}, horizon {horizon}, {threads} threads");
+                for engine in [AnalysisEngine::ClosedForm, AnalysisEngine::ShardedSweep] {
+                    let got = pool.install(|| {
+                        let mut s = instance.scheduler();
+                        analyze_schedule_with_engine(graph, &mut s, horizon, &checker, engine)
+                    });
+                    assert_bitwise_identical(&got, &reference, &format!("{ctx}, {engine:?}"));
+                }
+                if let Some(derived) = profile.derive(common::VIEW_REF, graph, horizon) {
+                    assert_bitwise_identical(&derived, &reference, &format!("{ctx}, derive"));
+                    assert_eq!(profile.derive_totals(horizon), Some(reference.totals()), "{ctx}");
+                }
+            }
         }
     }
 }

@@ -1,12 +1,15 @@
-//! Verification-cache lockdown: perfectly periodic schedulers are verified
-//! once per residue class, and a corrupted schedule is still caught through
-//! the cache path.
+//! Verification-cache lockdown: the sharded sweep verifies perfectly
+//! periodic schedulers once per residue class, and a corrupted schedule is
+//! still caught through the cache path.
 //!
 //! A counting [`HolidayChecker`] wraps the real graph checker and records
 //! every holiday the analysis actually probes.  For a scheduler exposing a
-//! `ResidueSchedule` view with cycle `C <= horizon`, the analysis must probe
-//! exactly the holidays `start..start + C` — one per residue class — at every
-//! thread count; stateful schedulers must still be probed on every holiday.
+//! `ResidueSchedule` view with cycle `C <= horizon`, the sharded sweep
+//! (forced through `analyze_schedule_with_engine`, since such horizons
+//! select the closed form, which checks edge congruences and probes no
+//! holiday) must probe exactly the holidays `start..start + C` — one per
+//! residue class — at every thread count; stateful schedulers must still
+//! be probed on every holiday.
 //! Both counting granularities are pinned: a checker that only overrides
 //! `check` sees every class through the batch default's per-class fallback,
 //! and a checker that overrides `check_batch` sees each class in exactly one
@@ -16,8 +19,8 @@
 use std::sync::Mutex;
 
 use fhg::core::analysis::{
-    analyze_schedule, analyze_schedule_reference, analyze_schedule_with_checker, GraphChecker,
-    HolidayChecker,
+    analyze_schedule, analyze_schedule_reference, analyze_schedule_with_checker,
+    analyze_schedule_with_engine, AnalysisEngine, GraphChecker, HolidayChecker,
 };
 use fhg::core::schedulers::residue::ResidueSchedule;
 use fhg::core::schedulers::{PeriodicDegreeBound, PhasedGreedy};
@@ -26,6 +29,10 @@ use fhg::graph::generators::erdos_renyi;
 use fhg::graph::{FixedBitSet, Graph, NodeId};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
+
+/// The engine whose probes this suite counts: the sharded, residue-cached
+/// sweep.
+const SWEEP: AnalysisEngine = AnalysisEngine::ShardedSweep;
 
 /// Records every holiday the analysis asks to verify, then delegates to the
 /// real checker.
@@ -105,8 +112,9 @@ fn each_residue_class_is_verified_exactly_once() {
     for threads in [1usize, 2, 8] {
         let checker = CountingChecker::new(&graph);
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let analysis = pool
-            .install(|| analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker));
+        let analysis = pool.install(|| {
+            analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, SWEEP)
+        });
         assert!(analysis.all_happy_sets_independent);
         assert_eq!(
             checker.probed_sorted(),
@@ -215,7 +223,7 @@ fn cache_probe_count_is_independent_of_the_horizon() {
     for horizon in [2 * cycle, 8 * cycle] {
         let mut scheduler = PeriodicDegreeBound::new(&graph);
         let checker = CountingChecker::new(&graph);
-        analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker);
+        analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, SWEEP);
         counts.push(checker.probed_sorted().len() as u64);
     }
     assert_eq!(counts[0], cycle);
@@ -238,8 +246,9 @@ fn batched_verification_still_probes_each_class_exactly_once() {
     for threads in [1usize, 2, 8] {
         let checker = BatchCountingChecker::new(&graph);
         let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let analysis = pool
-            .install(|| analyze_schedule_with_checker(&graph, &mut scheduler, horizon, &checker));
+        let analysis = pool.install(|| {
+            analyze_schedule_with_engine(&graph, &mut scheduler, horizon, &checker, SWEEP)
+        });
         assert!(analysis.all_happy_sets_independent);
         assert_eq!(
             checker.probed_sorted(),
@@ -266,12 +275,24 @@ fn corrupted_happy_sets_are_caught_through_the_batch_path() {
     let graph = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
     let mut scheduler = Corrupted::new();
     let checker = BatchCountingChecker::new(&graph);
-    let analysis = analyze_schedule_with_checker(&graph, &mut scheduler, 64, &checker);
+    let analysis = analyze_schedule_with_engine(&graph, &mut scheduler, 64, &checker, SWEEP);
     assert!(
         !analysis.all_happy_sets_independent,
         "the batch path must catch the conflicting residue class"
     );
     assert!(!checker.probed_sorted().is_empty(), "the corrupted class was actually probed");
+
+    // The closed form rejects it too — through the edge congruence, without
+    // consulting the checker.
+    let checker = BatchCountingChecker::new(&graph);
+    let closed = analyze_schedule_with_engine(
+        &graph,
+        &mut Corrupted::new(),
+        64,
+        &checker,
+        AnalysisEngine::ClosedForm,
+    );
+    assert!(!closed.all_happy_sets_independent, "the closed form must reject the shared slot");
 }
 
 proptest! {

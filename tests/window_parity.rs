@@ -1,100 +1,40 @@
 //! Parity lockdown for the windowed derivation (the start-offset fold) and
 //! the serving tier built on it.
 //!
-//! `CycleProfile::derive_window(t0, t1)` folds an arbitrary `[t0, t1)`
-//! window — a ragged head of the phase cycle, phase-shifted whole cycles
-//! replicated analytically, and a ragged tail — through the exact
-//! segment-merge algebra.  This suite asserts the result is
-//! **bitwise-identical** to a sequential reference sweep restricted to the
-//! same window (`analyze_schedule_reference` run on a start-shifted view of
-//! the schedule), for every periodic scheduler in the standard suite,
-//! across graph families, random seeds, profile builds pinned at 1/2/8
-//! worker threads, and window shapes chosen adversarially: zero-width,
-//! sub-cycle, straddling `cycle ± 1`, whole-cycle aligned, multi-cycle, and
-//! ragged at both ends.
+//! `CycleProfile::derive_window(t0, t1)` answers an arbitrary `[t0, t1)`
+//! window arithmetically from per-node progressions and per-edge violation
+//! progressions.  This suite asserts the result is **bitwise-identical** to
+//! a sequential reference sweep restricted to the same window
+//! (`analyze_schedule_reference` run on a start-shifted view of the
+//! schedule), independence verdict included — for every periodic scheduler
+//! in the standard suite and for the adversarial generator of
+//! `tests/common` (violating edges, arbitrary moduli, shifted starts,
+//! views wider than the graph), at 1/2/8 worker threads, over window
+//! shapes chosen adversarially: zero-width, sub-cycle, straddling
+//! `cycle ± 1`, whole-cycle aligned, multi-cycle, and ragged at both ends.
+//! It also pins that `ProfileService::patch` keeps a profile equal to a
+//! fresh build under random edge events, healing ones included.
 //!
 //! Like `tests/analysis_parity.rs`, float fields compare through
 //! `to_bits`, and CI runs this suite under the `FHG_THREADS` ×
-//! `FHG_KERNEL` matrix, so a drift in any kernel arm of the column merge
-//! shows up here as a window-parity failure.
+//! `FHG_KERNEL` matrix.
 
 use proptest::prelude::*;
 
-use fhg::core::analysis::{
-    analyze_schedule_reference, CycleProfile, GraphChecker, ScheduleAnalysis,
-};
-use fhg::core::schedulers::residue::ResidueSchedule;
+use fhg::core::analysis::{CycleProfile, GraphChecker};
+use fhg::core::dynamic::EventRepair;
+use fhg::core::schedulers::residue::{ResidueSchedule, RowChange};
 use fhg::core::schedulers::standard_suite;
-use fhg::core::serving::{ProfileService, Query};
-use fhg::core::Scheduler;
+use fhg::core::serving::{PatchOutcome, ProfileService, Query};
 use fhg::graph::generators::Family;
-use fhg::graph::{HappySet, NodeId};
+use fhg::graph::{EdgeEvent, EdgeEventKind, Graph};
 use rayon::ThreadPoolBuilder;
 
-/// A start-shifted view of a periodic schedule: holiday `t` of the window
-/// scheduler is holiday `base_start + t0 + t` of the underlying residue
-/// view, so a reference sweep of `t1 - t0` holidays over it is exactly the
-/// original schedule restricted to the window `[t0, t1)`.
-struct WindowView<'a> {
-    view: &'a ResidueSchedule,
-    start: u64,
-}
-
-impl Scheduler for WindowView<'_> {
-    fn node_count(&self) -> usize {
-        self.view.node_count()
-    }
-    fn fill_happy_set(&mut self, t: u64, out: &mut HappySet) {
-        self.view.fill(t, out);
-    }
-    fn first_holiday(&self) -> u64 {
-        self.start
-    }
-    fn name(&self) -> &'static str {
-        "window-ref"
-    }
-    fn is_periodic(&self) -> bool {
-        true
-    }
-    fn period(&self, _p: NodeId) -> Option<u64> {
-        None
-    }
-    fn unhappiness_bound(&self, _p: NodeId) -> Option<u64> {
-        None
-    }
-}
-
-/// Asserts two analyses are bitwise-identical, NaN-aware on float fields.
-fn assert_bitwise_identical(windowed: &ScheduleAnalysis, reference: &ScheduleAnalysis, ctx: &str) {
-    assert_eq!(windowed.scheduler, reference.scheduler, "{ctx}");
-    assert_eq!(windowed.horizon, reference.horizon, "{ctx}");
-    assert_eq!(
-        windowed.all_happy_sets_independent, reference.all_happy_sets_independent,
-        "{ctx}: independence verdict"
-    );
-    assert_eq!(windowed.never_happy, reference.never_happy, "{ctx}: never_happy");
-    assert_eq!(windowed.total_happiness, reference.total_happiness, "{ctx}: total_happiness");
-    assert_eq!(
-        windowed.mean_happy_set_size.to_bits(),
-        reference.mean_happy_set_size.to_bits(),
-        "{ctx}: mean_happy_set_size"
-    );
-    assert_eq!(windowed.per_node.len(), reference.per_node.len(), "{ctx}");
-    for (a, b) in windowed.per_node.iter().zip(&reference.per_node) {
-        assert_eq!(a.node, b.node, "{ctx}");
-        assert_eq!(a.degree, b.degree, "{ctx}: node {}", a.node);
-        assert_eq!(a.happy_count, b.happy_count, "{ctx}: node {} happy_count", a.node);
-        assert_eq!(a.max_unhappiness, b.max_unhappiness, "{ctx}: node {} streak", a.node);
-        assert_eq!(a.observed_period, b.observed_period, "{ctx}: node {} period", a.node);
-        assert_eq!(a.first_happy, b.first_happy, "{ctx}: node {} first_happy", a.node);
-        assert_eq!(
-            a.mean_gap.to_bits(),
-            b.mean_gap.to_bits(),
-            "{ctx}: node {} mean_gap (NaN-aware)",
-            a.node
-        );
-    }
-}
+mod common;
+use common::{
+    adversarial, assert_bitwise_identical, co_attend, reference_window, Rng, ViewScheduler, MODULI,
+    VIEW_REF,
+};
 
 /// The adversarial window shapes for a schedule of cycle `C`: zero-width at
 /// several anchors, sub-cycle from 0 and from a ragged phase, straddling
@@ -153,10 +93,8 @@ proptest! {
                 CycleProfile::build(view, start, graph.node_count(), &checker)
             });
             for (t0, t1) in window_shapes(cycle, k, jitter) {
-                let horizon = t1.saturating_sub(t0);
-                let mut shifted = WindowView { view, start: start + t0 };
-                let expected = analyze_schedule_reference(&graph, &mut shifted, horizon);
-                let got = profile.derive_window("window-ref", &graph, t0, t1);
+                let expected = reference_window(&graph, view, start, t0, t1);
+                let got = profile.derive_window(VIEW_REF, &graph, t0, t1);
                 let ctx = format!(
                     "{} on {} (seed {seed}, cycle {cycle}, window [{t0}, {t1}), {threads} threads)",
                     prod.name(),
@@ -207,9 +145,7 @@ fn profile_service_serves_reference_identical_windows() {
         let suite_ref = standard_suite(&graph, 0x2D2D);
         let start = suite_ref[q.tenant as usize].first_holiday();
         let view = suite_ref[q.tenant as usize].residue_schedule().unwrap();
-        let mut shifted = WindowView { view, start: start + q.window.0 };
-        let horizon = q.window.1.saturating_sub(q.window.0);
-        let expected = analyze_schedule_reference(&graph, &mut shifted, horizon);
+        let expected = reference_window(&graph, view, start, q.window.0, q.window.1);
         let t = t.as_ref().unwrap();
         let f = f.as_ref().unwrap();
         assert_eq!(t.totals, expected.totals(), "tenant {} window {:?}", q.tenant, q.window);
@@ -223,4 +159,139 @@ fn profile_service_serves_reference_identical_windows() {
     assert_eq!(service.build_pending(), 1);
     let after = service.query_totals(probe.tenant, probe.window.0, probe.window.1).unwrap();
     assert_eq!(before, after);
+}
+
+/// Regression: the window verdict depends on the window.  Edge {0, 1} with
+/// both endpoints on `t ≡ 0 (mod 4)` collides only there, so `[1, 3)` is
+/// independent while `[0, 3)` is not — through `derive_window`, the totals
+/// path and the serving tier alike, all equal to the reference sweep of the
+/// window, at 1/2/8 threads.  Deleting the edge heals the verdict in place.
+#[test]
+fn window_verdict_sees_only_the_window() {
+    let graph = Graph::from_edges(3, [(0, 1)]).unwrap();
+    let view = ResidueSchedule::new(vec![0, 0, 1], vec![4, 4, 2]);
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| {
+            let profile = CycleProfile::new(&view, 0, &graph);
+            let mut service = ProfileService::new();
+            service.register(7, &graph, &ViewScheduler { view: &view, start: 0 }).unwrap();
+            assert_eq!(service.build_pending(), 1);
+            for ((t0, t1), independent) in [((1, 3), true), ((0, 3), false)] {
+                let expected = reference_window(&graph, &view, 0, t0, t1);
+                assert_eq!(expected.all_happy_sets_independent, independent, "[{t0}, {t1})");
+                let got = profile.derive_window(VIEW_REF, &graph, t0, t1);
+                assert_bitwise_identical(&got, &expected, &format!("[{t0}, {t1}), {threads}t"));
+                assert_eq!(profile.derive_window_totals(t0, t1), expected.totals());
+                assert_eq!(service.query_totals(7, t0, t1).unwrap(), expected.totals());
+            }
+
+            let delete = EdgeEvent { kind: EdgeEventKind::Delete, u: 0, v: 1, holiday: 0 };
+            let outcome = service.patch(7, &EventRepair::from_parts(delete, &[])).unwrap();
+            assert!(matches!(outcome, PatchOutcome::Patched(_)));
+            assert!(service.query_totals(7, 0, 3).unwrap().all_happy_sets_independent);
+        });
+    }
+}
+
+/// The adversarial generator through the windowed derive: every window
+/// shape, bitwise-equal to the reference sweep of that window — verdicts of
+/// violating schedules included — at 1/2/8 threads.
+#[test]
+fn derive_window_matches_the_reference_on_adversarial_schedules() {
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for seed in 0..30u64 {
+            let instance = adversarial(seed);
+            let (graph, view, start) = (&instance.graph, &instance.view, instance.start);
+            let cycle = view.cycle();
+            let checker = GraphChecker::new(graph);
+            let profile =
+                pool.install(|| CycleProfile::build(view, start, graph.node_count(), &checker));
+            assert!(profile.content_eq(&CycleProfile::new(view, start, graph)), "seed {seed}");
+            for (t0, t1) in window_shapes(cycle, 2 + seed % 3, seed * 7) {
+                let expected = reference_window(graph, view, start, t0, t1);
+                let ctx = format!("seed {seed}, cycle {cycle}, [{t0}, {t1}), {threads} threads");
+                let got = pool.install(|| profile.derive_window(VIEW_REF, graph, t0, t1));
+                assert_bitwise_identical(&got, &expected, &ctx);
+                assert_eq!(profile.derive_window_totals(t0, t1), expected.totals(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Random edge events through `ProfileService::patch` on adversarial
+/// tenants: toggles, recolorings of up to two nodes, and deletions of
+/// violating edges (the events that heal a verdict).  After every event the
+/// served profile equals a fresh build of the mutated content, at 1/2/8
+/// threads.
+#[test]
+fn patched_adversarial_profiles_equal_a_fresh_build() {
+    let mut heals = 0;
+    for threads in [1usize, 2, 8] {
+        let pool = ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        for seed in 0..16u64 {
+            let instance = adversarial(seed);
+            let (mut graph, mut view, start) =
+                (instance.graph.clone(), instance.view.clone(), instance.start);
+            let n = graph.node_count();
+            let mut service = ProfileService::new();
+            service.register(1, &graph, &instance.scheduler()).unwrap();
+            assert_eq!(service.build_pending(), 1);
+            let mut rng = Rng::new(seed ^ 0xE7E7);
+            for step in 0..24u64 {
+                let violating: Vec<(usize, usize)> = graph
+                    .edges()
+                    .map(|e| (e.u, e.v))
+                    .filter(|&(u, v)| co_attend(&view, u, v))
+                    .collect();
+                let (kind, u, v) = if !violating.is_empty() && rng.below(3) == 0 {
+                    heals += 1;
+                    let (u, v) = rng.pick(&violating);
+                    (EdgeEventKind::Delete, u, v)
+                } else {
+                    let u = rng.below(n as u64) as usize;
+                    let v = (u + 1 + rng.below(n as u64 - 1) as usize) % n;
+                    let kind = if graph.has_edge(u, v) {
+                        EdgeEventKind::Delete
+                    } else {
+                        EdgeEventKind::Insert
+                    };
+                    (kind, u, v)
+                };
+                match kind {
+                    EdgeEventKind::Insert => graph.add_edge(u, v).unwrap(),
+                    EdgeEventKind::Delete => graph.remove_edge(u, v).unwrap(),
+                }
+                let mut changes = Vec::new();
+                for _ in 0..rng.below(3) {
+                    let p = if rng.below(2) == 0 {
+                        rng.pick(&[u, v])
+                    } else {
+                        rng.below(view.node_count() as u64) as usize
+                    };
+                    let m = rng.pick(&MODULI);
+                    let change = RowChange {
+                        node: p,
+                        old_slot: view.slot(p),
+                        old_modulus: view.modulus(p),
+                        new_slot: rng.below(m),
+                        new_modulus: m,
+                    };
+                    view.apply_row(&change);
+                    changes.push(change);
+                }
+                let event = EdgeEvent { kind, u, v, holiday: step };
+                let repair = EventRepair::from_parts(event, &changes);
+                let outcome = pool.install(|| service.patch(1, &repair)).unwrap();
+                assert!(matches!(outcome, PatchOutcome::Patched(_)), "seed {seed} step {step}");
+                let fresh = CycleProfile::new(&view, start, &graph);
+                assert!(
+                    service.profile(1).unwrap().content_eq(&fresh),
+                    "seed {seed} step {step}, {threads} threads: patched profile diverged"
+                );
+            }
+        }
+    }
+    assert!(heals > 0, "the event stream must include healing deletions");
 }

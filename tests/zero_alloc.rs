@@ -6,7 +6,10 @@
 //! thread of the sharded analysis path, whose per-shard scratch (happy-set
 //! buffer + accumulators) is allocated once per shard, never per holiday,
 //! and for the incremental repair plane, where steady-state edge events
-//! through `ProfileService::patch` reuse the service-owned scratch.
+//! through `ProfileService::patch` reuse the service-owned scratch.  The
+//! closed form's totals reads (`CycleProfile::derive_window_totals`,
+//! `ProfileService::query_totals`) are pure arithmetic and allocate nothing
+//! at all.
 //!
 //! A counting global allocator records every allocation; the test warms each
 //! scheduler's buffer (and any internal scratch) for a few holidays, then
@@ -39,7 +42,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fhg::core::analysis::{
-    analyze_schedule, AnalysisEngine, CycleProfile, DeriveScratch, GraphChecker, HolidayChecker,
+    analyze_schedule, AnalysisEngine, CycleProfile, GraphChecker, HolidayChecker,
 };
 use fhg::core::schedulers::{standard_suite, PeriodicDegreeBound};
 use fhg::core::{HappySet, Scheduler};
@@ -202,9 +205,9 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
     // horizon-independence — the allocations left (profile/shard scratch,
     // pool bookkeeping) depend only on the graph, the cycle and the thread
     // count.  Horizons 128/1024/8192 all take the closed-form engine here
-    // (cycle divides them); the engine profiles one cycle and derives the
-    // rest analytically, so an 8x horizon costs not a single extra
-    // allocation.
+    // (cycle divides them); the engine stores one progression per node and
+    // derives every statistic arithmetically, so an 8x horizon costs not a
+    // single extra allocation.
     assert_eq!(
         AnalysisEngine::select(&scheduler, 128),
         AnalysisEngine::ClosedForm,
@@ -232,45 +235,30 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         );
     }
 
-    // The serving-tier derivation paths (PR 5): repeated derivations from
-    // one cached profile with caller-owned scratch.  The totals-only fast
-    // path must be entirely allocation-free after warm-up — fused
-    // whole-cycle folds are read-only, and ragged tails reuse the scratch
-    // bank and mask columns.  The full derive allocates only its output
-    // (the per-node vector), so its allocation count must not depend on
-    // the horizon.
+    // The closed-form derivation paths: repeated derivations from one
+    // cached profile.  The totals-only paths are pure arithmetic over the
+    // stored progressions and must not allocate at all; the full derive
+    // allocates only its output (the per-node vector), so its allocation
+    // count must not depend on the horizon or the window.
     {
         let scheduler = PeriodicDegreeBound::new(&graph);
         let view = scheduler.residue_schedule().expect("perfectly periodic");
         let checker = GraphChecker::new(&graph);
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let profile = pool.install(|| {
-            CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker)
-        });
+        let profile =
+            CycleProfile::build(view, scheduler.first_holiday(), graph.node_count(), &checker);
         let cycle = profile.cycle();
-        let mut scratch = DeriveScratch::new();
-        // Warm-up: one whole-cycle fold and one ragged fold size the
-        // scratch bank, tail bank and mask columns.
-        assert!(profile.derive_totals_with(8 * cycle, &mut scratch).is_some());
-        assert!(profile.derive_totals_with(8 * cycle + 3, &mut scratch).is_some());
         let delta = min_alloc_delta(|| {
             for horizon in [cycle, 4 * cycle, 64 * cycle, 64 * cycle + 1, 8 * cycle + 5] {
-                let totals = profile.derive_totals_with(horizon, &mut scratch).unwrap();
+                let totals = profile.derive_totals(horizon).unwrap();
                 assert!(totals.all_happy_sets_independent);
             }
         });
-        assert_eq!(
-            delta, 0,
-            "totals-only derivation allocated {delta} times after warm-up \
-             (the serving path must reuse the caller's scratch)"
-        );
+        assert_eq!(delta, 0, "totals-only derivation allocated {delta} times");
 
         let mut derive_deltas = Vec::new();
         for horizon in [4 * cycle, 64 * cycle, 1024 * cycle] {
-            let _ = profile.derive_with("warm", &graph, horizon, &mut scratch).unwrap();
             derive_deltas.push(min_alloc_delta(|| {
-                let analysis =
-                    profile.derive_with("derive", &graph, horizon, &mut scratch).unwrap();
+                let analysis = profile.derive("derive", &graph, horizon).unwrap();
                 assert!(analysis.all_happy_sets_independent);
             }));
         }
@@ -279,11 +267,8 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             "full derive allocations grew with the horizon ({derive_deltas:?})"
         );
 
-        // The windowed fold (PR 7): steady-state cached queries over
-        // arbitrary `[t0, t1)` windows — ragged head, phase-shifted whole
-        // cycles, ragged tail — must also be allocation-free in the
-        // totals-only path, and the full windowed derive must allocate
-        // independently of both window width and phase.
+        // Arbitrary `[t0, t1)` windows: ragged at both ends, sub-cycle,
+        // empty.
         let windows = [
             (0, 64 * cycle),
             (1, 64 * cycle),
@@ -292,24 +277,17 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             (2 * cycle + 5, 66 * cycle + 7),
             (7, 7),
         ];
-        // Warm-up: one ragged windowed fold sizes the segment bank.
-        let _ = profile.derive_window_totals_with(1, 8 * cycle + 3, &mut scratch);
         let delta = min_alloc_delta(|| {
             for &(t0, t1) in &windows {
-                let _ = profile.derive_window_totals_with(t0, t1, &mut scratch);
+                let _ = profile.derive_window_totals(t0, t1);
             }
         });
-        assert_eq!(
-            delta, 0,
-            "windowed totals derivation allocated {delta} times after warm-up \
-             (the serving tier's steady state must reuse the caller's scratch)"
-        );
+        assert_eq!(delta, 0, "windowed totals derivation allocated {delta} times");
 
         let mut window_deltas = Vec::new();
         for &(t0, t1) in &[(1, 4 * cycle), (cycle + 3, 64 * cycle + 1), (5, 1024 * cycle + 2)] {
-            let _ = profile.derive_window_with("warm", &graph, t0, t1, &mut scratch);
             window_deltas.push(min_alloc_delta(|| {
-                let analysis = profile.derive_window_with("window", &graph, t0, t1, &mut scratch);
+                let analysis = profile.derive_window("window", &graph, t0, t1);
                 assert!(analysis.total_happiness > 0);
             }));
         }
@@ -337,12 +315,12 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         .collect();
     assert_eq!(deltas[0], deltas[1], "sharded sweep allocations must not depend on the horizon");
 
-    // The incremental repair plane (PR 8): steady-state edge churn through
-    // `ProfileService::patch` must be allocation-free after warm-up — the
-    // patch scratch (class batch, verification list, compaction arena) is
-    // owned by the service and reused, replacement rows retire in place or
-    // into pre-grown arena capacity, and the `ScanChecker` verifies against
-    // the live graph without building a per-event adjacency layout.
+    // The incremental repair plane: steady-state edge churn through
+    // `ProfileService::patch` must be allocation-free after warm-up — rows
+    // are replaced in place, edge congruences are checked against the live
+    // graph, and any violation found waits in the service-owned scratch.
+    // The serving read `query_totals` on the patched tenant must not
+    // allocate either.
     {
         use fhg::core::dynamic::DynamicColorBound;
         use fhg::core::serving::{PatchOutcome, ProfileService};
@@ -355,9 +333,8 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
         assert_eq!(service.build_pending(), 1);
 
         // Pre-generate a long alternating insert/delete stream of one
-        // initially-absent edge: every repair replays the same lanes, so
-        // once the scratch reaches its high-water mark nothing grows, and
-        // retries continue the stream instead of replaying applied events.
+        // initially-absent edge, so retries continue the stream instead of
+        // replaying applied events.
         let n = base.node_count();
         let (u, v) = (0..n)
             .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
@@ -372,13 +349,11 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             })
             .collect();
 
-        // Warm-up: the first patches detach the slot, size the class batch
-        // and let the offset arena find its high-water capacity across a
-        // few retire/compact rounds.
+        // Warm-up: the first patch detaches the slot.
         let mut next = 0usize;
         for _ in 0..16 {
             let outcome = service.patch(0, &repairs[next]).expect("tenant 0 is registered");
-            assert!(outcome != PatchOutcome::Rebuilt, "the edge toggle must stay patchable");
+            assert!(matches!(outcome, PatchOutcome::Patched(_)), "warm patches repair in place");
             next += 1;
         }
         let delta = min_alloc_delta(|| {
@@ -395,6 +370,13 @@ fn fill_happy_set_allocates_nothing_after_warmup() {
             "incremental profile repair allocated {delta} times per 8-event window after \
              warm-up (the patch plane must reuse the service-owned scratch)"
         );
+        let cycle = service.profile(0).expect("warm").cycle();
+        let delta = min_alloc_delta(|| {
+            for (t0, t1) in [(0, cycle), (3, 17 * cycle + 5), (9, 9)] {
+                service.query_totals(0, t0, t1).expect("tenant 0 is warm");
+            }
+        });
+        assert_eq!(delta, 0, "query_totals allocated {delta} times");
     }
 
     // The WAL append path (PR 10): steady-state event logging through
